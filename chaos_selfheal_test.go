@@ -165,7 +165,7 @@ func TestChaosSelfHealing(t *testing.T) {
 	// watchdog; every site surviving proves rotation worked in time.
 	for _, b := range res.Profile.Bundles {
 		t.Logf("%s: %v granted=%d/%d pcaps=%d (%s)", b.Site, b.Outcome,
-			b.InstancesGranted, b.InstancesRequested, len(b.CompressedPcaps), b.FailureReason)
+			b.InstancesGranted, b.InstancesRequested, b.Captures, b.FailureReason)
 	}
 	if res.Profile.SuccessRate() < 1 {
 		t.Errorf("success rate %.2f under remediation, want 1.0", res.Profile.SuccessRate())

@@ -158,13 +158,13 @@ func TestChaosExperimentSurvivesHostilePlan(t *testing.T) {
 	for _, b := range prof.Bundles {
 		t.Logf("%s: %v granted=%d/%d pcaps=%d (%s)",
 			b.Site, b.Outcome, b.InstancesGranted, b.InstancesRequested,
-			len(b.CompressedPcaps), b.FailureReason)
+			b.Captures, b.FailureReason)
 		// The watchdog outcome would mean the platform itself crashed; the
 		// plan must only be able to cost resources, never crash the run.
 		if b.Outcome == patchwork.OutcomeIncomplete {
 			t.Errorf("%s: hostile plan crashed the run: %s", b.Site, b.FailureReason)
 		}
-		if len(b.CompressedPcaps) > 0 {
+		if b.Captures > 0 {
 			sitesWithData++
 		}
 		for _, s := range b.Samples {

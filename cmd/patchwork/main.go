@@ -16,6 +16,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -233,6 +234,8 @@ func main() {
 		Tracer:         tracer,
 		Faults:         injector,
 	}
+	pcaps := &pcapFiles{dir: *out}
+	cfg.PcapSink = pcaps
 	if *storage || *watch {
 		cfg.Storage = &hostsim.Config{}
 	}
@@ -283,7 +286,7 @@ func main() {
 	}
 	poller.Stop()
 
-	if err := writeProfile(*out, prof); err != nil {
+	if err := cmp.Or(pcaps.err, writeProfile(*out, prof)); err != nil {
 		fatal(err)
 	}
 	if *metrics != "" {
@@ -316,7 +319,7 @@ func main() {
 	for _, b := range prof.Bundles {
 		fmt.Printf("  %-8s outcome=%-10s instances=%d/%d captures=%d ports=%v\n",
 			b.Site, b.Outcome, b.InstancesGranted, b.InstancesRequested,
-			len(b.CompressedPcaps), b.PortsSampled)
+			b.Captures, b.PortsSampled)
 	}
 	fmt.Printf("success rate: %.0f%%\n", prof.SuccessRate()*100)
 	for _, b := range prof.Bundles {
@@ -330,22 +333,33 @@ func main() {
 	}
 }
 
-// writeProfile persists each bundle's pcaps and logs.
+// pcapFiles is the CLI's pcap sink: it writes each capture to
+// <dir>/<site>/capture-NN.pcap as it is harvested, so raw captures never
+// pile up in memory. It keeps going past a failed write (a full disk
+// should cost one capture, not the rest) and keeps the first error.
+type pcapFiles struct {
+	dir string
+	err error
+}
+
+func (p *pcapFiles) WritePcap(site string, index int, data []byte) {
+	siteDir := filepath.Join(p.dir, site)
+	err := os.MkdirAll(siteDir, 0o755)
+	if err == nil {
+		err = os.WriteFile(filepath.Join(siteDir, fmt.Sprintf("capture-%02d.pcap", index)), data, 0o644)
+	}
+	if p.err == nil {
+		p.err = err
+	}
+}
+
+// writeProfile persists each bundle's run log (the pcaps were written
+// during the run by pcapFiles).
 func writeProfile(dir string, prof *patchwork.Profile) error {
 	for _, b := range prof.Bundles {
 		siteDir := filepath.Join(dir, b.Site)
 		if err := os.MkdirAll(siteDir, 0o755); err != nil {
 			return err
-		}
-		pcaps, err := b.DecompressPcaps()
-		if err != nil {
-			return err
-		}
-		for i, data := range pcaps {
-			name := filepath.Join(siteDir, fmt.Sprintf("capture-%02d.pcap", i))
-			if err := os.WriteFile(name, data, 0o644); err != nil {
-				return err
-			}
 		}
 		var logBuf strings.Builder
 		for _, e := range b.Logs {
@@ -469,7 +483,8 @@ func campaignMain(fl campaignFlags) int {
 		fmt.Fprintln(os.Stderr, "patchwork: -profile measures the lane scheduler; it requires -lanes > 1")
 		return 1
 	}
-	exec := campaign.Exec{Lanes: fl.lanes, Workers: fl.laneWorkers, Profile: fl.profile}
+	pcaps := &pcapFiles{dir: fl.out}
+	exec := campaign.Exec{Lanes: fl.lanes, Workers: fl.laneWorkers, Profile: fl.profile, PcapSink: pcaps}
 	if fl.provenance {
 		exec.ProvenancePath = filepath.Join(fl.out, "prof", "provenance.trace")
 	}
@@ -544,7 +559,7 @@ func campaignMain(fl campaignFlags) int {
 		fmt.Fprintf(os.Stderr, "patchwork: writing %s artifacts: %v\n", artifact, err)
 		return false
 	}
-	ok := wrote("pcap", writeProfile(fl.out, res.Profile))
+	ok := wrote("pcap", cmp.Or(pcaps.err, writeProfile(fl.out, res.Profile)))
 	if fl.metrics != "" {
 		if wrote("metrics", writeMetrics(fl.metrics, res.Registry)) {
 			fmt.Printf("metrics written to %s\n", fl.metrics)

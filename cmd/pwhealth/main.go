@@ -139,6 +139,7 @@ func main() {
 		Faults:         injector,
 		Storage:        &hostsim.Config{},
 		LogSink:        monitor,
+		PcapSink:       patchwork.DiscardPcaps, // only health is reported
 	}
 	coord, err := patchwork.NewCoordinator(fed, store, poller, cfg)
 	if err != nil {

@@ -86,11 +86,7 @@ func main() {
 	var acaps []*analysis.Acap
 	var all []analysis.Record
 	for _, b := range prof.Bundles {
-		pcaps, err := b.DecompressPcaps()
-		if err != nil {
-			log.Fatal(err)
-		}
-		for _, raw := range pcaps {
+		for _, raw := range b.Pcaps {
 			rd, err := pcap.NewReader(bytes.NewReader(raw))
 			if err != nil {
 				log.Fatal(err)

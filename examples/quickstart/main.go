@@ -72,16 +72,12 @@ func main() {
 	driver.Stop()
 	poller.Stop()
 
-	// Gather + analyze: decompress the bundle and digest the captures.
+	// Gather + analyze: digest the bundle's captures.
 	b := prof.Bundles[0]
 	fmt.Printf("site %s: outcome=%v, sampled ports %v\n", b.Site, b.Outcome, b.PortsSampled)
-	pcaps, err := b.DecompressPcaps()
-	if err != nil {
-		log.Fatal(err)
-	}
 	frames := 0
 	stacks := map[string]int{}
-	for _, raw := range pcaps {
+	for _, raw := range b.Pcaps {
 		rd, err := pcap.NewReader(bytes.NewReader(raw))
 		if err != nil {
 			log.Fatal(err)
@@ -95,7 +91,7 @@ func main() {
 			stacks[r.StackString()]++
 		}
 	}
-	fmt.Printf("captured %d frames across %d pcaps\n", frames, len(pcaps))
+	fmt.Printf("captured %d frames across %d pcaps\n", frames, len(b.Pcaps))
 	fmt.Println("header stacks observed:")
 	for s, n := range stacks {
 		fmt.Printf("  %6d  %s\n", n, s)

@@ -133,7 +133,7 @@ func niceScaling() {
 	poller.Stop()
 
 	b := prof.Bundles[0]
-	fmt.Printf("  outcome: %v, captures: %d\n", b.Outcome, len(b.CompressedPcaps))
+	fmt.Printf("  outcome: %v, captures: %d\n", b.Outcome, b.Captures)
 	fmt.Println("  footprint changes:")
 	for _, ev := range b.ScaleEvents {
 		fmt.Printf("    %v\n", ev)

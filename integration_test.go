@@ -98,14 +98,10 @@ func TestFullPipeline(t *testing.T) {
 	var acaps []*analysis.Acap
 	var all []analysis.Record
 	for _, b := range prof.Bundles {
-		pcaps, err := b.DecompressPcaps()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pcaps) == 0 {
+		if len(b.Pcaps) == 0 {
 			t.Fatalf("%s: no captures", b.Site)
 		}
-		for _, raw := range pcaps {
+		for _, raw := range b.Pcaps {
 			rd, err := pcap.NewReader(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)

@@ -266,6 +266,12 @@ type Exec struct {
 	// completes before the writer dies (both sides of the rename are
 	// crash points).
 	CrashAfterCheckpointSwap bool
+	// PcapSink receives each capture's raw pcap stream at harvest time
+	// (see patchwork.Config.PcapSink). Nil keeps the streams in the
+	// profile's bundles. Like the other Exec knobs it is not journaled:
+	// a resumed campaign replays from the start and hands the sink the
+	// same streams again.
+	PcapSink patchwork.PcapSink
 }
 
 // defaultSpanCap bounds the tracer's retained spans/counter samples on
@@ -589,6 +595,7 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 		Storage:           &hostsim.Config{},
 		LogSink:           monitor,
 		Mutations:         c,
+		PcapSink:          exec.PcapSink,
 	}
 	if spec.Nice {
 		cfg.Nice = &patchwork.NicePolicy{ScaleDownFreeNICs: 0, ScaleUpFreeNICs: 1}

@@ -133,7 +133,7 @@ func TestNiceNeverDropsBelowFloor(t *testing.T) {
 	if b.Outcome != OutcomeSuccess {
 		t.Errorf("outcome = %v (%s)", b.Outcome, b.FailureReason)
 	}
-	if len(b.CompressedPcaps) == 0 {
+	if len(b.Pcaps) == 0 {
 		t.Error("no captures despite holding the floor listener")
 	}
 }

@@ -33,7 +33,7 @@ func TestTransientOutageRecoveredByRetry(t *testing.T) {
 	if !hasLog(b, "retrying in") {
 		t.Error("expected a retry log entry for the transient window")
 	}
-	if len(b.CompressedPcaps) == 0 {
+	if len(b.Pcaps) == 0 {
 		t.Error("recovered run captured nothing")
 	}
 }
@@ -68,7 +68,7 @@ func TestRetryExhaustionDegrades(t *testing.T) {
 	if !hasLog(b, "retries exhausted") || !hasLog(b, "degrading to 1/2") {
 		t.Errorf("missing exhaustion/degradation logs: %v", b.Logs)
 	}
-	if len(b.CompressedPcaps) == 0 {
+	if len(b.Pcaps) == 0 {
 		t.Error("degraded run captured nothing")
 	}
 }

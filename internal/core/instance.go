@@ -2,7 +2,6 @@ package patchwork
 
 import (
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"sort"
 
@@ -82,7 +81,7 @@ type SampleRecord struct {
 }
 
 // Bundle is what the coordinator downloads from one site after the
-// sampling phase: compressed pcaps, logs, and per-sample statistics.
+// sampling phase: pcaps, logs, and per-sample statistics.
 type Bundle struct {
 	Site          string
 	Outcome       Outcome
@@ -90,12 +89,16 @@ type Bundle struct {
 	// InstancesRequested/Granted document back-off.
 	InstancesRequested int
 	InstancesGranted   int
-	// CompressedPcaps holds one gzip-compressed pcap per (instance,
-	// mirror-port) capture stream.
-	CompressedPcaps [][]byte
-	Samples         []SampleRecord
-	Congestion      []CongestionEvent
-	Logs            []LogEvent
+	// Captures counts the pcap streams harvested at this site, one per
+	// (instance, mirror-port) capture, whichever PcapSink received them.
+	Captures int
+	// Pcaps holds the raw pcap streams, in harvest order, when
+	// Config.PcapSink is nil. With a sink set it stays empty: the sink
+	// owns the bytes.
+	Pcaps      [][]byte
+	Samples    []SampleRecord
+	Congestion []CongestionEvent
+	Logs       []LogEvent
 	// PortsSampled lists distinct mirrored ports across all cycles.
 	PortsSampled []string
 	// ScaleEvents records nice-factor footprint changes (empty unless
@@ -103,24 +106,12 @@ type Bundle struct {
 	ScaleEvents []ScaleEvent
 }
 
-// DecompressPcaps expands the bundle's capture streams for analysis.
-func (b *Bundle) DecompressPcaps() ([][]byte, error) {
-	out := make([][]byte, 0, len(b.CompressedPcaps))
-	for i, cp := range b.CompressedPcaps {
-		zr, err := gzip.NewReader(bytes.NewReader(cp))
-		if err != nil {
-			return nil, fmt.Errorf("patchwork: bundle pcap %d: %w", i, err)
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(zr); err != nil {
-			return nil, fmt.Errorf("patchwork: bundle pcap %d: %w", i, err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, err
-		}
-		out = append(out, buf.Bytes())
-	}
-	return out, nil
+// bundlePcaps is the default PcapSink: it keeps the streams in the
+// bundle.
+type bundlePcaps Bundle
+
+func (b *bundlePcaps) WritePcap(site string, index int, pcap []byte) {
+	b.Pcaps = append(b.Pcaps, pcap)
 }
 
 // siteInstance runs the per-site profiling workflow. One siteInstance
@@ -578,7 +569,7 @@ func (si *siteInstance) cycle(runIdx int) {
 			si.mirrors = nil
 			harvestSpan := si.cycleSpan.Child("harvest")
 			si.harvestCycle()
-			harvestSpan.Annotate("pcaps", fmt.Sprintf("%d", len(si.bundle.CompressedPcaps)))
+			harvestSpan.Annotate("pcaps", fmt.Sprintf("%d", si.bundle.Captures))
 			harvestSpan.End()
 			si.cycleSpan.End()
 			si.kernel.After(si.cfg.SampleInterval, func() { si.cycle(runIdx + 1) })
@@ -783,7 +774,7 @@ func (si *siteInstance) remediateRearmMirror() (string, error) {
 }
 
 // remediateRotateStorage evicts harvested capture bytes from the VM's
-// disk (the bundle keeps its compressed copies — rotation models
+// disk (the pcap sink already holds the streams — rotation models
 // shipping them off-VM), pulling the free-bytes gauge back up before
 // the watchdog kills the run. Bytes still held by live engines cannot
 // be rotated.
@@ -841,10 +832,15 @@ func (si *siteInstance) remediateFreeSpace() (string, error) {
 	return note, nil
 }
 
-// harvestCycle compresses each engine's pcap stream into the bundle,
-// in egress-port order so the bundle layout is deterministic (map
+// harvestCycle hands each engine's raw pcap stream to the pcap sink,
+// in egress-port order so the capture numbering is deterministic (map
 // iteration order would shuffle pcaps between runs of the same seed).
+// The buffers are not reused, so the sink takes them without a copy.
 func (si *siteInstance) harvestCycle() {
+	var sink PcapSink = (*bundlePcaps)(&si.bundle)
+	if si.cfg.PcapSink != nil {
+		sink = si.cfg.PcapSink
+	}
 	egs := make([]string, 0, len(si.engines))
 	for eg := range si.engines {
 		egs = append(egs, eg)
@@ -858,17 +854,8 @@ func (si *siteInstance) harvestCycle() {
 			continue
 		}
 		si.totalStored += eng.Stats.StoredBytes
-		var z bytes.Buffer
-		zw := gzip.NewWriter(&z)
-		if _, err := zw.Write(buf.Bytes()); err != nil {
-			si.logf(LevelError, "gather: compressing pcap: %v", err)
-			continue
-		}
-		if err := zw.Close(); err != nil {
-			si.logf(LevelError, "gather: closing gzip: %v", err)
-			continue
-		}
-		si.bundle.CompressedPcaps = append(si.bundle.CompressedPcaps, z.Bytes())
+		sink.WritePcap(si.site.Spec.Name, si.bundle.Captures, buf.Bytes())
+		si.bundle.Captures++
 	}
 	si.engines, si.writers, si.bufs = nil, nil, nil
 }

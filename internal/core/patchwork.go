@@ -127,7 +127,27 @@ type Config struct {
 	// happens, in deterministic order. The campaign journal implements
 	// this to build its write-ahead log; nil disables the hook.
 	Mutations MutationSink
+	// PcapSink, when set, receives each capture's raw pcap stream as it
+	// is harvested at the end of a cycle. Nil keeps the streams in
+	// Bundle.Pcaps.
+	PcapSink PcapSink
 }
+
+// PcapSink receives harvested pcap streams. Index numbers a site's
+// captures from 0 in harvest order (egress-port order within a cycle).
+// The sink owns pcap: the harvest never touches the buffer again. Calls
+// come from the coordinator's kernel, one at a time.
+type PcapSink interface {
+	WritePcap(site string, index int, pcap []byte)
+}
+
+// DiscardPcaps is a PcapSink that drops every stream, for runs that
+// only read a bundle's statistics and logs.
+var DiscardPcaps PcapSink = discardPcaps{}
+
+type discardPcaps struct{}
+
+func (discardPcaps) WritePcap(string, int, []byte) {}
 
 // MutationSink observes deployment mutations for crash-consistent
 // journaling. Kind is an open string set ("setup", "release",

@@ -1,6 +1,7 @@
 package patchwork
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestEndToEndProfile(t *testing.T) {
 		if b.Outcome != OutcomeSuccess {
 			t.Errorf("%s outcome = %v (%s)", b.Site, b.Outcome, b.FailureReason)
 		}
-		if len(b.CompressedPcaps) == 0 {
+		if len(b.Pcaps) == 0 {
 			t.Errorf("%s has no captures", b.Site)
 		}
 		if len(b.Samples) == 0 {
@@ -136,10 +137,7 @@ func TestBundlePcapsDecodeAndDigest(t *testing.T) {
 	env := newEnv(t, 1)
 	prof := runProfile(t, env, quickConfig())
 	b := prof.Bundles[0]
-	raw, err := b.DecompressPcaps()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := b.Pcaps
 	if len(raw) == 0 {
 		t.Fatal("no pcaps")
 	}
@@ -165,6 +163,61 @@ func TestBundlePcapsDecodeAndDigest(t *testing.T) {
 	}
 	if totalFrames == 0 {
 		t.Error("no frames captured end to end")
+	}
+}
+
+// recordingSink is a PcapSink that remembers every call.
+type recordingSink struct {
+	sites []string
+	index []int
+	pcaps [][]byte
+}
+
+func (r *recordingSink) WritePcap(site string, index int, pcap []byte) {
+	r.sites = append(r.sites, site)
+	r.index = append(r.index, index)
+	r.pcaps = append(r.pcaps, pcap)
+}
+
+// TestPcapSinkMatchesBundle: a configured sink receives exactly the
+// streams the default sink keeps in Bundle.Pcaps, numbered per site in
+// harvest order, and the bundle then holds none itself.
+func TestPcapSinkMatchesBundle(t *testing.T) {
+	base := runProfile(t, newEnv(t, 2), quickConfig())
+	sink := &recordingSink{}
+	cfg := quickConfig()
+	cfg.PcapSink = sink
+	prof := runProfile(t, newEnv(t, 2), cfg)
+
+	want := map[string][][]byte{}
+	for _, b := range base.Bundles {
+		if b.Captures != len(b.Pcaps) || b.Captures == 0 {
+			t.Fatalf("%s: default sink Captures=%d, %d pcaps", b.Site, b.Captures, len(b.Pcaps))
+		}
+		want[b.Site] = b.Pcaps
+	}
+	got := map[string][][]byte{}
+	for i, site := range sink.sites {
+		if sink.index[i] != len(got[site]) {
+			t.Fatalf("%s: capture index %d, want %d", site, sink.index[i], len(got[site]))
+		}
+		got[site] = append(got[site], sink.pcaps[i])
+	}
+	for _, b := range prof.Bundles {
+		if len(b.Pcaps) != 0 {
+			t.Errorf("%s: bundle kept %d pcaps with a sink set", b.Site, len(b.Pcaps))
+		}
+		if b.Captures != len(got[b.Site]) {
+			t.Errorf("%s: Captures=%d, sink saw %d", b.Site, b.Captures, len(got[b.Site]))
+		}
+		if len(got[b.Site]) != len(want[b.Site]) {
+			t.Fatalf("%s: sink saw %d pcaps, default sink %d", b.Site, len(got[b.Site]), len(want[b.Site]))
+		}
+		for i := range want[b.Site] {
+			if !bytes.Equal(got[b.Site][i], want[b.Site][i]) {
+				t.Errorf("%s capture %d differs between sinks", b.Site, i)
+			}
+		}
 	}
 }
 

@@ -101,6 +101,7 @@ func Fig10(seed uint64) (*Result, error) {
 			CrashProbability: 0.012,
 			Obs:              reg,
 			Tracer:           tracer,
+			PcapSink:         patchwork.DiscardPcaps, // only outcomes are read
 		}
 		coord, err := patchwork.NewCoordinator(fed, store, poller, cfg)
 		if err != nil {

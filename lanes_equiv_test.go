@@ -96,8 +96,8 @@ func collectLanedArtifacts(t *testing.T, res *campaign.Result, dir string) laned
 	h := fnv.New64a()
 	pcaps := 0
 	for _, b := range res.Profile.Bundles {
-		fmt.Fprintf(h, "site=%s n=%d\n", b.Site, len(b.CompressedPcaps))
-		for _, p := range b.CompressedPcaps {
+		fmt.Fprintf(h, "site=%s n=%d\n", b.Site, len(b.Pcaps))
+		for _, p := range b.Pcaps {
 			h.Write(p)
 			pcaps++
 		}

@@ -4,8 +4,10 @@
 # concurrent paths there, so the race detector permanently gates the
 # "parallel simulations share no state" contract), a bench.sh smoke pass
 # (one iteration per benchmark plus the BENCH_*.json pipeline) so CI
-# fails if benchmark code no longer compiles, a short fuzz smoke over
-# the wire-format parsers (seed corpus plus a few seconds of mutation —
+# fails if benchmark code no longer compiles, the repository benchmark's
+# own tests (perfbench, built against this checkout's CLIs), a short
+# fuzz smoke over the wire-format parsers (seed corpus plus a few
+# seconds of mutation —
 # enough to catch regressions in the option/length walkers — plus the
 # flow-store segment codec and the sketch merge operators), a
 # streaming-analytics equivalence gate (the single-pass digester and
@@ -15,8 +17,9 @@
 # defaults always, plus any rules/*.json), a crash/resume gate: a
 # journaled campaign is killed at an injected crash point (exit 3),
 # resumed, and its metrics and WAL must be byte-identical to an
-# uninterrupted baseline of the same seed — repeated under sharded
-# dataplane lanes (-lanes), where the laned run, the killed-and-resumed
+# uninterrupted baseline of the same seed, and its pcaps (written
+# mid-run, so rewritten by the resume) must match too — repeated under
+# sharded dataplane lanes (-lanes), where the laned run, the killed-and-resumed
 # laned run, and the serial baseline must all byte-match (the short-mode
 # race run above also carries the laned randomized-topology stress
 # suite), and a live-telemetry gate: a
@@ -40,6 +43,7 @@ go build ./...
 go vet ./...
 go test -race -short ./...
 sh scripts/bench.sh -smoke
+GOWORK=off go -C perfbench test ./...
 go test -run='^$' -fuzz='^FuzzParsePacket$' -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz='^FuzzTCPOptions$' -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz='^FuzzParsePolicy$' -fuzztime=5s ./internal/remedy
@@ -62,9 +66,17 @@ fi
 
 # Crash/resume gate: baseline (crash points journaled but ignored),
 # then a killed run that must exit 3, then a resume that must converge
-# on the baseline's exact metrics and WAL.
+# on the baseline's exact metrics, WAL and pcaps.
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# same_pcaps A B: the <site>/capture-*.pcap trees under output dirs A and
+# B are byte-identical (and not empty). Pcaps stream to disk at harvest
+# time, so a crashed run leaves a partial tree that its resume rewrites.
+same_pcaps() {
+    ls "$1"/*/capture-*.pcap >/dev/null
+    diff -r -x health -x remedy -x livemon -x prof -x run.log "$1" "$2"
+}
 go build -o "$tmp/patchwork" ./cmd/patchwork
 cat >"$tmp/plan.json" <<'EOF'
 {"name": "ci-crash", "crash_points": [{"at_sec": 7}]}
@@ -84,7 +96,8 @@ fi
     -metrics "$tmp/crash.prom" >/dev/null
 cmp "$tmp/base.prom" "$tmp/crash.prom"
 cmp "$tmp/base/wal.jsonl" "$tmp/crash/wal.jsonl"
-echo "crash/resume gate: metrics and WAL byte-identical"
+same_pcaps "$tmp/base-out" "$tmp/crash-out"
+echo "crash/resume gate: metrics, WAL and pcaps byte-identical"
 
 # Laned crash/resume gate: the same campaign sharded across dataplane
 # lanes. The uninterrupted laned run must byte-match the serial
@@ -94,6 +107,7 @@ echo "crash/resume gate: metrics and WAL byte-identical"
     -metrics "$tmp/lbase.prom" -no-kill -lanes 2 -lane-workers 2 >/dev/null
 cmp "$tmp/base.prom" "$tmp/lbase.prom"
 cmp "$tmp/base/wal.jsonl" "$tmp/lbase/wal.jsonl"
+same_pcaps "$tmp/base-out" "$tmp/lbase-out"
 rc=0
 "$tmp/patchwork" $common -journal "$tmp/lcrash" -out "$tmp/lcrash-out" \
     -metrics "$tmp/lcrash.prom" -lanes 2 -lane-workers 2 >/dev/null || rc=$?
@@ -105,6 +119,7 @@ fi
     -metrics "$tmp/lcrash.prom" -lanes 2 -lane-workers 1 >/dev/null
 cmp "$tmp/base.prom" "$tmp/lcrash.prom"
 cmp "$tmp/base/wal.jsonl" "$tmp/lcrash/wal.jsonl"
+same_pcaps "$tmp/base-out" "$tmp/lcrash-out"
 echo "laned crash/resume gate: artifacts byte-identical to serial baseline"
 
 # Live-telemetry gate: the same campaign served on an ephemeral port.
@@ -124,6 +139,7 @@ kill -TERM "$serve_pid"
 wait "$serve_pid"
 cmp "$tmp/base.prom" "$tmp/serve.prom"
 cmp "$tmp/base/wal.jsonl" "$tmp/serve/wal.jsonl"
+same_pcaps "$tmp/base-out" "$tmp/serve-out"
 go run ./cmd/pwhealth -check-prom "$tmp/serve.prom" >/dev/null
 echo "live-telemetry gate: probe passed, artifacts byte-identical with -serve"
 
