@@ -15,7 +15,6 @@ import (
 	"repro/internal/capture"
 	"repro/internal/experiments"
 	"repro/internal/hostsim"
-	"repro/internal/lanes"
 	"repro/internal/sim"
 	"repro/internal/units"
 	"repro/internal/wire"
@@ -251,87 +250,6 @@ func BenchmarkCaptureEngine(b *testing.B) {
 		b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(st.Received), "allocs/frame")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(st.Received), "ns/frame")
 	}
-}
-
-// lanedBenchLoad seeds a synthetic dataplane across lanesN shards: each
-// shard runs a self-rescheduling step that fans out short local events,
-// every event doing a slice of deterministic per-frame work. sched[i]
-// is the scheduler for shard i (all the kernel for the serial baseline,
-// per-shard lanes otherwise). Returns per-shard event counters.
-func lanedBenchLoad(scheds []sim.Scheduler, horizon sim.Time) []uint64 {
-	counts := make([]uint64, len(scheds))
-	for i, s := range scheds {
-		i, s := i, s
-		var h uint64 = 14695981039346656037
-		work := func() {
-			counts[i]++
-			// Stand-in for per-frame dataplane work (parse + hash).
-			for b := 0; b < 64; b++ {
-				h = (h ^ uint64(b)) * 1099511628211
-			}
-		}
-		var step func()
-		step = func() {
-			now := s.Now()
-			if now >= horizon {
-				return
-			}
-			work()
-			for j := 0; j < 8; j++ {
-				s.After(sim.Duration(1+j)*sim.Millisecond, work)
-			}
-			s.After(5*sim.Millisecond, step)
-		}
-		s.At(sim.Time(i+1)*sim.Millisecond, step)
-	}
-	return counts
-}
-
-// BenchmarkLanedWorld compares the sharded lane executor against the
-// serial kernel on an identical synthetic dataplane. The laned/serial
-// ratio is hardware-dependent (speedup needs real cores; on one core
-// the window barrier is pure overhead), so bench.sh records it rather
-// than gating on it; the determinism gates are what CI enforces.
-func BenchmarkLanedWorld(b *testing.B) {
-	const lanesN = 4
-	const horizon = 500 * sim.Millisecond
-	run := func(b *testing.B, workers int) {
-		b.ReportAllocs()
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			k := sim.NewKernel()
-			scheds := make([]sim.Scheduler, lanesN)
-			if workers == 0 { // serial baseline
-				for j := range scheds {
-					scheds[j] = k
-				}
-				counts := lanedBenchLoad(scheds, horizon)
-				k.Run()
-				events = 0
-				for _, c := range counts {
-					events += c
-				}
-			} else {
-				w := lanes.NewWorld(k, lanes.Config{Lanes: lanesN, Workers: workers})
-				for j := range scheds {
-					scheds[j] = w.Lane(j + 1)
-				}
-				counts := lanedBenchLoad(scheds, horizon)
-				w.Run()
-				w.Close()
-				events = 0
-				for _, c := range counts {
-					events += c
-				}
-			}
-		}
-		b.ReportMetric(float64(events), "events/op")
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events)/float64(b.N), "ns/event")
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 0) })
-	b.Run("laned-w1", func(b *testing.B) { run(b, 1) })
-	b.Run("laned-w2", func(b *testing.B) { run(b, 2) })
-	b.Run("laned-w4", func(b *testing.B) { run(b, 4) })
 }
 
 // BenchmarkHostWritev measures the page-cache model.

@@ -68,10 +68,7 @@ func main() {
 		resume     = flag.String("resume", "", "resume the campaign journaled in this directory")
 		cpSec      = flag.Int("checkpoint-sec", 60, "checkpoint cadence in (virtual) seconds (campaign mode)")
 		noKill     = flag.Bool("no-kill", false, "journal injected crash points without honoring them (baseline run)")
-		lanesN     = flag.Int("lanes", 1, "shard the dataplane into this many parallel per-site lanes (campaign mode; output is byte-identical at any lane count)")
-		laneWk     = flag.Int("lane-workers", 0, "worker goroutines for -lanes (0 = min(lanes, GOMAXPROCS))")
 		provOn     = flag.Bool("provenance", false, "record the causal event DAG to <out>/prof/provenance.trace (campaign mode; analyze with pwprof)")
-		profOn     = flag.Bool("profile", false, "profile the lane scheduler's wall clock into <out>/prof/lane-trace.json and lane-summary.json (requires -lanes > 1)")
 		storeChaos = flag.String("store-chaos", "", "storage fault-injection plan JSON (campaign mode); seeded by -seed, injection log lands in <out>/storefault.jsonl")
 
 		serveAddr  = flag.String("serve", "", `serve live telemetry (metrics/status/SSE) on this address (":0" for an ephemeral port; bound address lands in <out>/livemon/addr)`)
@@ -80,7 +77,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if *resume != "" || *remedyOn || *remedyPol != "" || *journalDir != "" || *lanesN > 1 || *provOn || *profOn || *storeChaos != "" {
+	if *resume != "" || *remedyOn || *remedyPol != "" || *journalDir != "" || *provOn || *storeChaos != "" {
 		os.Exit(campaignMain(campaignFlags{
 			mode: *mode, sites: *sitesFlag, runs: *runs, samples: *samples,
 			sampleSec: *sampleSec, method: *method, trunc: *trunc, seed: *seed,
@@ -88,8 +85,7 @@ func main() {
 			faultPlan: *faultPlan, healthRules: *healthRules,
 			remedyPolicy: *remedyPol, journalDir: *journalDir, resume: *resume,
 			checkpointSec: *cpSec, noKill: *noKill,
-			lanes: *lanesN, laneWorkers: *laneWk,
-			provenance: *provOn, profile: *profOn, storeChaos: *storeChaos,
+			provenance: *provOn, storeChaos: *storeChaos,
 			serveAddr: *serveAddr, servePprof: *servePprof, serveHold: *serveHold,
 		}))
 	}
@@ -451,9 +447,7 @@ type campaignFlags struct {
 	metrics, faultPlan, healthRules  string
 	remedyPolicy, journalDir, resume string
 	checkpointSec                    int
-	noKill                           bool
-	lanes, laneWorkers               int
-	provenance, profile              bool
+	noKill, provenance               bool
 	storeChaos                       string
 	serveAddr                        string
 	servePprof, serveHold            bool
@@ -479,12 +473,8 @@ func campaignMain(fl campaignFlags) int {
 	if live != nil {
 		sink = live
 	}
-	if fl.profile && fl.lanes <= 1 {
-		fmt.Fprintln(os.Stderr, "patchwork: -profile measures the lane scheduler; it requires -lanes > 1")
-		return 1
-	}
 	pcaps := &pcapFiles{dir: fl.out}
-	exec := campaign.Exec{Lanes: fl.lanes, Workers: fl.laneWorkers, Profile: fl.profile, PcapSink: pcaps}
+	exec := campaign.Exec{PcapSink: pcaps}
 	if fl.provenance {
 		exec.ProvenancePath = filepath.Join(fl.out, "prof", "provenance.trace")
 	}
@@ -574,7 +564,10 @@ func campaignMain(fl campaignFlags) int {
 	if res.Injector != nil {
 		fmt.Printf("faults injected: %s\n", res.Injector.Summary())
 	}
-	ok = wrote("prof", writeProfArtifacts(fl, res)) && ok
+	if fl.provenance {
+		fmt.Printf("provenance trace: %d events in %s (analyze with pwprof)\n",
+			res.ProvRecords, exec.ProvenancePath)
+	}
 	if !ok {
 		return 1
 	}
@@ -667,46 +660,6 @@ func writeRemedyArtifacts(dir string, sup *remedy.Supervisor) error {
 	}
 	fmt.Printf("remediation artifacts written to %s (%d decisions, %d quarantined)\n",
 		remedyDir, len(sup.Actions()), len(sup.Quarantined()))
-	return nil
-}
-
-// writeProfArtifacts persists the wall-plane lane profile under
-// <out>/prof/ and reports where the provenance trace landed. The
-// provenance trace itself was streamed during the run by the campaign
-// engine; only the pointer is printed here.
-func writeProfArtifacts(fl campaignFlags, res *campaign.Result) error {
-	if fl.provenance {
-		fmt.Printf("provenance trace: %d events in %s (analyze with pwprof)\n",
-			res.ProvRecords, filepath.Join(fl.out, "prof", "provenance.trace"))
-	}
-	if res.LaneProfiler == nil {
-		return nil
-	}
-	profDir := filepath.Join(fl.out, "prof")
-	if err := os.MkdirAll(profDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(profDir, "lane-trace.json"))
-	if err != nil {
-		return err
-	}
-	err = res.LaneProfiler.WriteChromeTrace(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	sum := res.LaneProfiler.Summary()
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(profDir, "lane-summary.json"), append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("lane profile: %d windows, est speedup %.2fx, efficiency %.0f%% (%s)\n",
-		sum.Windows, sum.EstSpeedup, sum.ParallelEfficiency*100, profDir)
 	return nil
 }
 

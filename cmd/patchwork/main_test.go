@@ -16,7 +16,7 @@ import (
 func smallCampaign(out string) campaignFlags {
 	return campaignFlags{
 		mode: "all", runs: 1, samples: 2, sampleSec: 2, method: "tcpdump",
-		trunc: 200, seed: 7, out: out, nSites: 2, checkpointSec: 5, lanes: 1,
+		trunc: 200, seed: 7, out: out, nSites: 2, checkpointSec: 5,
 	}
 }
 

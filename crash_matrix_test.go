@@ -56,11 +56,10 @@ func matrixCollect(t *testing.T, res *campaign.Result) matrixArtifacts {
 // probeCrashPoint kills a fresh campaign at one WAL boundary, resumes it
 // to completion, and asserts every artifact matches the uninterrupted
 // baseline byte for byte.
-func probeCrashPoint(t *testing.T, spec campaign.Spec, base matrixArtifacts, exec campaign.Exec, seq uint64, afterSwap bool) {
+func probeCrashPoint(t *testing.T, spec campaign.Spec, base matrixArtifacts, seq uint64, afterSwap bool) {
 	t.Helper()
 	dir := t.TempDir()
-	kill := exec
-	kill.CrashArm, kill.CrashAtSeq, kill.CrashAfterCheckpointSwap = true, seq, afterSwap
+	kill := campaign.Exec{CrashArm: true, CrashAtSeq: seq, CrashAfterCheckpointSwap: afterSwap}
 	res, err := campaign.RunExec(spec, dir, false, kill)
 	if err != nil {
 		t.Fatalf("seq %d afterSwap=%v: %v", seq, afterSwap, err)
@@ -72,7 +71,7 @@ func probeCrashPoint(t *testing.T, spec campaign.Spec, base matrixArtifacts, exe
 		if resumes > 3 {
 			t.Fatalf("seq %d afterSwap=%v: still crashed after 3 resumes", seq, afterSwap)
 		}
-		if res, err = campaign.ResumeExec(dir, false, exec); err != nil {
+		if res, err = campaign.ResumeExec(dir, false, campaign.Exec{}); err != nil {
 			t.Fatalf("seq %d afterSwap=%v: resume: %v", seq, afterSwap, err)
 		}
 	}
@@ -94,13 +93,19 @@ func probeCrashPoint(t *testing.T, spec campaign.Spec, base matrixArtifacts, exe
 	}
 }
 
-// crashMatrix runs the boundary sweep under one execution strategy:
-// every WAL record boundary (strided in -short mode), plus both sides of
-// every checkpoint swap.
-func crashMatrix(t *testing.T, exec campaign.Exec, stride int) {
+// TestCrashPointMatrix kills a journaled campaign at every WAL-record
+// and checkpoint boundary (strided in -short mode), plus both sides of
+// every checkpoint swap, and asserts the resumed run is byte-identical
+// to the uninterrupted baseline — the strongest form of the
+// crash-consistency contract.
+func TestCrashPointMatrix(t *testing.T) {
+	stride := 1
+	if testing.Short() {
+		stride = 5
+	}
 	spec := matrixSpec()
 	baseDir := t.TempDir()
-	baseRes, err := campaign.RunExec(spec, baseDir, false, exec)
+	baseRes, err := campaign.RunExec(spec, baseDir, false, campaign.Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +130,11 @@ func crashMatrix(t *testing.T, exec campaign.Exec, stride int) {
 			continue
 		}
 		t.Run(fmt.Sprintf("seq%03d-%s", rec.Seq, rec.Kind), func(t *testing.T) {
-			probeCrashPoint(t, spec, base, exec, rec.Seq, false)
+			probeCrashPoint(t, spec, base, rec.Seq, false)
 		})
 		if rec.Kind == journal.KindCheckpoint {
 			t.Run(fmt.Sprintf("seq%03d-%s-after-swap", rec.Seq, rec.Kind), func(t *testing.T) {
-				probeCrashPoint(t, spec, base, exec, rec.Seq, true)
+				probeCrashPoint(t, spec, base, rec.Seq, true)
 			})
 		}
 	}
@@ -137,27 +142,4 @@ func crashMatrix(t *testing.T, exec campaign.Exec, stride int) {
 		t.Error("baseline WAL holds no checkpoint records — the matrix never probed a swap boundary")
 	}
 	t.Logf("matrix over %d WAL records (%d checkpoints), stride %d", len(recs), checkpoints, stride)
-}
-
-// TestCrashPointMatrix kills a journaled campaign at every WAL-record
-// and checkpoint boundary and asserts the resumed run is byte-identical
-// to the uninterrupted baseline — the strongest form of the
-// crash-consistency contract.
-func TestCrashPointMatrix(t *testing.T) {
-	stride := 1
-	if testing.Short() {
-		stride = 5
-	}
-	crashMatrix(t, campaign.Exec{}, stride)
-}
-
-// TestCrashPointMatrixLanes repeats a strided subset of the matrix under
-// sharded lane execution: the crash boundary and the resume must behave
-// identically when the dataplane runs on parallel lanes.
-func TestCrashPointMatrixLanes(t *testing.T) {
-	stride := 4
-	if testing.Short() {
-		stride = 8
-	}
-	crashMatrix(t, campaign.Exec{Lanes: 2}, stride)
 }

@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 	"syscall"
 
@@ -30,7 +29,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/hostsim"
 	"repro/internal/journal"
-	"repro/internal/lanes"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/remedy"
@@ -191,9 +189,6 @@ type Result struct {
 	// ProvRecords counts provenance records streamed to
 	// Exec.ProvenancePath (zero when provenance was off).
 	ProvRecords uint64
-	// LaneProfiler is the wall-clock lane profiler (nil unless
-	// Exec.Profile was set on a laned run).
-	LaneProfiler *lanes.Profiler
 }
 
 // LiveSink is the live telemetry plane's view of a running campaign
@@ -214,40 +209,27 @@ type LiveSink interface {
 	PublishTick(now sim.Time)
 }
 
-// profSink is the optional live-sink capability for serving profiling
-// state (implemented by livemon.Server). Checked by type assertion so
-// LiveSink implementations without it keep working unchanged. The
-// callbacks are safe to invoke from HTTP goroutines mid-run.
+// profSink is the optional live-sink capability for serving the
+// provenance trace (implemented by livemon.Server). Checked by type
+// assertion so LiveSink implementations without it keep working
+// unchanged. provFlush is safe to invoke from HTTP goroutines mid-run.
 type profSink interface {
-	// SetProfSources wires the wall-plane lane profiler (summary and
-	// Chrome trace; both nil when profiling is off) and the provenance
-	// trace (path empty when provenance is off; provFlush drains
-	// buffered frames before a download).
-	SetProfSources(summary func() any, chrome func(io.Writer) error, provenancePath string, provFlush func() error)
+	// SetProfSources wires the provenance trace at provenancePath;
+	// provFlush drains buffered frames before a download.
+	SetProfSources(provenancePath string, provFlush func() error)
 }
 
-// Exec selects the execution strategy that drives the campaign's
-// simulation. The zero value is the serial kernel. Exec is an execution
-// knob, not part of the campaign Spec: it is never journaled, and every
-// Exec must produce byte-identical artifacts — a campaign journaled
-// under one lane count resumes correctly under any other.
+// Exec holds the knobs of a campaign run that are not part of its Spec:
+// where artifacts go and how the crash-point harness probes it. Exec is
+// never journaled, so a resume may pass a different Exec than the run
+// it continues.
 type Exec struct {
-	// Lanes shards the dataplane into per-site event lanes
-	// (internal/lanes); <= 1 drives the kernel serially.
-	Lanes int
-	// Workers bounds goroutines executing lanes in parallel; 0 defaults
-	// to min(Lanes, GOMAXPROCS).
-	Workers int
 	// ProvenancePath, when set, streams the causal event DAG (one
 	// record per schedule call, with the scheduling event as parent) to
 	// a CRC-framed trace at this path. Pure observation: the trace is
-	// byte-identical for the same seed under any Lanes/Workers setting,
-	// and enabling it does not perturb the sim artifacts.
+	// byte-identical for the same seed, and enabling it does not
+	// perturb the sim artifacts.
 	ProvenancePath string
-	// Profile attaches the wall-clock lane profiler (laned execution
-	// only): per-worker busy timelines, barrier stalls, merge costs.
-	// Wall-plane data never enters sim-time artifacts.
-	Profile bool
 	// FS routes every campaign artifact write (journal WAL, checkpoints,
 	// provenance trace) through an explicit filesystem seam — the
 	// storage-chaos harness injects faults here. nil is the real disk.
@@ -484,45 +466,16 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 		return nil, err
 	}
 
-	// Sharded execution: partition sites across dataplane lanes by port
-	// count (a proxy for frames per window) and rebind each site's
-	// dataplane — switch, capture engines, traffic driver — to its
-	// lane. Must happen before any dataplane traffic is scheduled.
-	// With provenance on, each site's scheduler is additionally wrapped
-	// so its schedule calls carry the site's tag — in serial and laned
-	// mode alike, keeping the traces byte-identical.
-	var world *lanes.World
-	var profiler *lanes.Profiler
-	if exec.Lanes > 1 {
-		world = lanes.NewWorld(k, lanes.Config{Lanes: exec.Lanes, Workers: exec.Workers})
-		defer world.Close()
-		if exec.Profile {
-			profiler = world.EnableProfiling(0)
-		}
-	}
-	if world != nil || pw != nil {
-		var assign map[string]int32
-		if world != nil {
-			loads := make([]lanes.SiteLoad, 0, len(fed.Sites()))
-			for _, s := range fed.Sites() {
-				loads = append(loads, lanes.SiteLoad{
-					Name:   s.Spec.Name,
-					Weight: s.Spec.Downlinks + s.Spec.Uplinks,
-				})
-			}
-			assign = lanes.PartitionSites(loads, exec.Lanes)
-		}
+	// With provenance on, rebind each site's dataplane — switch,
+	// capture engines, traffic driver — to a scheduler that tags its
+	// schedule calls with the site, attributing the site's events to it
+	// in the causal DAG. Must happen before any dataplane traffic is
+	// scheduled.
+	if pw != nil {
 		for i, s := range fed.Sites() {
-			var sched sim.Scheduler = k
-			if world != nil {
-				sched = world.Lane(int(assign[s.Spec.Name]))
-			}
-			if pw != nil {
-				tag := int32(i + 1)
-				pw.DefTag(tag, s.Spec.Name)
-				sched = prof.TagScheduler(sched, tag)
-			}
-			s.SetScheduler(sched)
+			tag := int32(i + 1)
+			pw.DefTag(tag, s.Spec.Name)
+			s.SetScheduler(prof.TagScheduler(k, tag))
 		}
 	}
 
@@ -672,18 +625,8 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 	if live != nil {
 		live.Attach(reg, monitor)
 		wireJournalGauges(live.Runtime(), w)
-		if ps, ok := live.(profSink); ok && (profiler != nil || pw != nil) {
-			var summary func() any
-			var chrome func(io.Writer) error
-			if profiler != nil {
-				summary = func() any { return profiler.Summary() }
-				chrome = profiler.WriteChromeTrace
-			}
-			var provFlush func() error
-			if pw != nil {
-				provFlush = pw.Flush
-			}
-			ps.SetProfSources(summary, chrome, exec.ProvenancePath, provFlush)
+		if ps, ok := live.(profSink); ok && pw != nil {
+			ps.SetProfSources(exec.ProvenancePath, pw.Flush)
 		}
 	}
 
@@ -694,12 +637,8 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 		prof, runErr = p, err
 		finished = true
 	})
-	step := k.Step
-	if world != nil {
-		step = world.Step
-	}
 	for !finished && !c.crashed && c.err == nil && !w.CrashSimulated() {
-		if !step() {
+		if !k.Step() {
 			return nil, fmt.Errorf("campaign: simulation stalled before completion")
 		}
 		if live != nil && k.Now() >= publishNext {
@@ -720,7 +659,6 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 		Registry: reg, Tracer: tracer, Monitor: monitor,
 		Supervisor: sup, Injector: injector, Federation: fed,
 		Replayed: replayed, Dir: dir,
-		LaneProfiler: profiler,
 	}
 	if pw != nil {
 		res.ProvRecords = pw.Records()

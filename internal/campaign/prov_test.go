@@ -19,11 +19,10 @@ func promDump(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestProvenanceDeterministicAcrossLanes is the campaign-level gate for
-// the tentpole guarantee: the same spec produces a byte-identical
-// provenance trace serially and under sharded lanes, and recording the
-// trace never perturbs the run's other artifacts.
-func TestProvenanceDeterministicAcrossLanes(t *testing.T) {
+// TestProvenanceDeterministic is the campaign-level provenance gate:
+// two runs of the same spec write byte-identical traces, and recording
+// the trace never perturbs the run's other artifacts.
+func TestProvenanceDeterministic(t *testing.T) {
 	spec := smallSpec()
 	spec.FederationSites = 3
 
@@ -33,35 +32,28 @@ func TestProvenanceDeterministicAcrossLanes(t *testing.T) {
 	}
 	baseProm := promDump(t, base)
 
+	// runProv runs the spec with provenance on and returns the result
+	// and the trace bytes, checking the metrics against the baseline.
+	runProv := func(path string) (*Result, []byte) {
+		t.Helper()
+		res, err := RunExec(spec, t.TempDir(), true, Exec{ProvenancePath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(baseProm, promDump(t, res)) {
+			t.Error("recording provenance perturbed the metrics artifact")
+		}
+		trace, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, trace
+	}
 	serialPath := filepath.Join(t.TempDir(), "serial.trace")
-	serial, err := RunExec(spec, t.TempDir(), true, Exec{ProvenancePath: serialPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lanedPath := filepath.Join(t.TempDir(), "laned.trace")
-	laned, err := RunExec(spec, t.TempDir(), true, Exec{
-		Lanes: 2, Workers: 2, ProvenancePath: lanedPath,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sb, err := os.ReadFile(serialPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, err := os.ReadFile(lanedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sb, lb) {
-		t.Fatal("provenance trace differs between serial and laned execution")
-	}
-	if !bytes.Equal(baseProm, promDump(t, serial)) {
-		t.Error("recording provenance perturbed the metrics artifact")
-	}
-	if !bytes.Equal(baseProm, promDump(t, laned)) {
-		t.Error("laned provenance run perturbed the metrics artifact")
+	serial, first := runProv(serialPath)
+	_, second := runProv(filepath.Join(t.TempDir(), "again.trace"))
+	if !bytes.Equal(first, second) {
+		t.Fatal("provenance trace differs between two same-seed runs")
 	}
 
 	tr, err := prof.LoadTrace(serialPath)
@@ -89,40 +81,5 @@ func TestProvenanceDeterministicAcrossLanes(t *testing.T) {
 	}
 	if path := tr.CriticalPath(); len(path) == 0 {
 		t.Error("trace yields no critical path")
-	}
-}
-
-// TestProfileExec checks the wall-plane profiler attaches under lanes
-// and never perturbs sim artifacts.
-func TestProfileExec(t *testing.T) {
-	spec := smallSpec()
-	spec.FederationSites = 3
-
-	base, err := RunExec(spec, t.TempDir(), true, Exec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunExec(spec, t.TempDir(), true, Exec{Lanes: 2, Workers: 2, Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LaneProfiler == nil {
-		t.Fatal("laned profiled run returned no profiler")
-	}
-	s := res.LaneProfiler.Summary()
-	if s.Workers != 2 || s.Lanes != 2 {
-		t.Errorf("summary workers/lanes = %d/%d, want 2/2", s.Workers, s.Lanes)
-	}
-	if !bytes.Equal(promDump(t, base), promDump(t, res)) {
-		t.Error("profiling perturbed the metrics artifact")
-	}
-
-	// Serial execution has no lane scheduler to profile.
-	serial, err := RunExec(spec, t.TempDir(), true, Exec{Profile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.LaneProfiler != nil {
-		t.Error("serial run should not attach a lane profiler")
 	}
 }

@@ -227,7 +227,7 @@ type Engine struct {
 }
 
 // NewEngine builds an engine bound to a scheduler — the simulation
-// kernel in serial runs, a lane in sharded ones.
+// kernel, or the site's provenance-tagging wrapper around it.
 func NewEngine(k sim.Scheduler, cfg Config) (*Engine, error) {
 	if cfg.Cores < 0 || cfg.Cores > 256 {
 		return nil, fmt.Errorf("capture: core count %d out of range", cfg.Cores)

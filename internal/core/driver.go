@@ -28,7 +28,7 @@ type TrafficDriver struct {
 }
 
 // NewTrafficDriver builds a driver for one site, scheduling on k — the
-// shared kernel in serial runs, the site's lane in sharded ones.
+// shared kernel, or the site's provenance-tagging wrapper around it.
 // activePorts defaults to the first half of the site's downlinks when
 // nil.
 func NewTrafficDriver(k sim.Scheduler, site *testbed.Site, gen *trafficgen.Generator, activePorts []string) *TrafficDriver {

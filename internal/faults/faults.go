@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -260,9 +259,10 @@ const (
 	KindCrashPoint         = "crash-point"
 )
 
-// kinds enumerates every fault kind, so injection state can be fully
-// pre-allocated: fault hooks run on dataplane lanes during parallel
-// window execution, and must never grow a map or resolve an instrument.
+// kinds enumerates every fault kind, so SetObs can register every
+// faults_injected_total series up front: the metrics dump lists each
+// kind (zeros included) in a fixed order, and fault hooks on the frame
+// path never resolve an instrument.
 var kinds = []string{
 	KindAllocatorTransient, KindSiteOutage, KindPortFlap,
 	KindMirrorCorruption, KindStorageSlowdown, KindCaptureStall,
@@ -288,7 +288,7 @@ type Engine struct {
 	stalls    map[string][]*stallState
 	slowdowns map[string][]StorageSlowdown
 
-	injected map[string]*atomic.Int64
+	injected map[string]int64
 	reg      *obs.Registry
 	counters map[string]*obs.Counter
 }
@@ -305,15 +305,11 @@ func NewEngine(k *sim.Kernel, seed uint64, plan Plan) (*Engine, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	injected := make(map[string]*atomic.Int64, len(kinds))
-	for _, kind := range kinds {
-		injected[kind] = new(atomic.Int64)
-	}
 	return &Engine{
 		kernel:   k,
 		plan:     plan,
 		root:     rng.New(seed ^ 0x6661756c74), // "fault"
-		injected: injected,
+		injected: make(map[string]int64, len(kinds)),
 	}, nil
 }
 
@@ -339,10 +335,10 @@ func (e *Engine) SetObs(reg *obs.Registry) {
 }
 
 // note records one injected fault of the given kind at virtual time now.
-// It is lane-safe: the count is atomic and the counter pre-resolved, so
-// hooks firing on parallel dataplane lanes never touch shared maps.
+// The counter is pre-resolved by SetObs, so hooks on the frame path do
+// no label lookup; now stamps the series (see obs.Counter.IncAt).
 func (e *Engine) note(kind string, now sim.Time) {
-	e.injected[kind].Add(1)
+	e.injected[kind]++
 	e.counters[kind].IncAt(now)
 }
 
@@ -350,8 +346,8 @@ func (e *Engine) note(kind string, now sim.Time) {
 // (kinds with zero injections are omitted).
 func (e *Engine) Injected() map[string]int64 {
 	out := make(map[string]int64)
-	for k, v := range e.injected {
-		if n := v.Load(); n > 0 {
+	for k, n := range e.injected {
+		if n > 0 {
 			out[k] = n
 		}
 	}
@@ -361,8 +357,8 @@ func (e *Engine) Injected() map[string]int64 {
 // InjectedTotal sums injections across kinds.
 func (e *Engine) InjectedTotal() int64 {
 	var total int64
-	for _, v := range e.injected {
-		total += v.Load()
+	for _, n := range e.injected {
+		total += n
 	}
 	return total
 }

@@ -22,7 +22,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -96,14 +95,12 @@ type Server struct {
 	closed     chan struct{}
 	closeOnce  sync.Once
 
-	// Profiling sources (SetProfSources); any may be unset. The summary
-	// and chrome functions snapshot under the profiler's own lock, and
-	// provFlush drains the provenance writer's buffer, so serving them
-	// from HTTP goroutines never touches sim-owned state.
-	profSummary func() any
-	profChrome  func(io.Writer) error
-	provPath    string
-	provFlush   func() error
+	// Provenance trace source (SetProfSources); either may be unset.
+	// provFlush drains the provenance writer's buffer under its own
+	// lock, so serving the trace from HTTP goroutines never touches
+	// sim-owned state.
+	provPath  string
+	provFlush func() error
 
 	// flowPath backs /api/flows (SetFlowStore); the store file is opened
 	// read-only per request, so handlers never share state with the
@@ -339,36 +336,13 @@ func (s *Server) PublishEvent(kind string, at sim.Time, data []byte) {
 	}
 }
 
-// SetProfSources wires the profiling surfaces: summary renders the lane
-// profiler's speedup/efficiency aggregate on /api/prof, chrome streams
-// its wall-plane Chrome trace on /api/prof/chrome, and provenancePath +
-// provFlush serve the on-disk causal trace on /api/prof/provenance
-// (flushed first so the download sees every record so far). Any argument
-// may be nil/empty; the corresponding endpoint answers 404. Call before
-// the simulation starts running.
-func (s *Server) SetProfSources(summary func() any, chrome func(io.Writer) error, provenancePath string, provFlush func() error) {
-	s.profSummary = summary
-	s.profChrome = chrome
+// SetProfSources wires the on-disk causal trace at provenancePath to
+// /api/prof/provenance; provFlush (may be nil) runs before each
+// download so it sees every record so far. With an empty path the
+// endpoint answers 404. Call before the simulation starts running.
+func (s *Server) SetProfSources(provenancePath string, provFlush func() error) {
 	s.provPath = provenancePath
 	s.provFlush = provFlush
-}
-
-func (s *Server) handleProf(w http.ResponseWriter, _ *http.Request) {
-	if s.profSummary == nil {
-		http.Error(w, "no lane profiler attached", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, s.profSummary())
-}
-
-func (s *Server) handleProfChrome(w http.ResponseWriter, _ *http.Request) {
-	if s.profChrome == nil {
-		http.Error(w, "no lane profiler attached", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="lane-trace.json"`)
-	s.profChrome(w)
 }
 
 func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
@@ -490,8 +464,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/api/alerts", s.handleAlerts)
 	mux.HandleFunc("/api/series", s.handleSeries)
 	mux.HandleFunc("/api/buildinfo", s.handleBuildinfo)
-	mux.HandleFunc("/api/prof", s.handleProf)
-	mux.HandleFunc("/api/prof/chrome", s.handleProfChrome)
 	mux.HandleFunc("/api/prof/provenance", s.handleProvenance)
 	mux.HandleFunc("/api/flows", s.handleFlows)
 	mux.HandleFunc("/events", s.handleEvents)
@@ -517,8 +489,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "  /api/alerts     active alerts")
 	fmt.Fprintln(w, "  /api/series     ?name=&from=&to= time-range query over the ring")
 	fmt.Fprintln(w, "  /api/buildinfo  module version, VCS revision, Go version")
-	fmt.Fprintln(w, "  /api/prof       lane profiler summary (speedup, efficiency)")
-	fmt.Fprintln(w, "  /api/prof/chrome      wall-plane Chrome trace download")
 	fmt.Fprintln(w, "  /api/prof/provenance  causal provenance trace download")
 	fmt.Fprintln(w, "  /api/flows      ?from=&to=&site=&limit= flow store query")
 	fmt.Fprintln(w, "  /events         SSE stream (alerts, status diffs, progress)")

@@ -1,7 +1,6 @@
 package livemon
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,9 +9,9 @@ import (
 	"testing"
 )
 
-// TestProfEndpoints checks the profiling surfaces: 404 with nothing
-// attached, then JSON summary, Chrome trace download, and provenance
-// download (flushed before serving) once SetProfSources wires them.
+// TestProfEndpoints checks the provenance surface: 404 with nothing
+// attached, then the trace download (flushed before serving) once
+// SetProfSources wires it.
 func TestProfEndpoints(t *testing.T) {
 	s, err := New(Config{})
 	if err != nil {
@@ -22,10 +21,8 @@ func TestProfEndpoints(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/api/prof", "/api/prof/chrome", "/api/prof/provenance"} {
-		if code, _ := get(t, ts, path); code != http.StatusNotFound {
-			t.Errorf("GET %s with nothing attached: %d, want 404", path, code)
-		}
+	if code, _ := get(t, ts, "/api/prof/provenance"); code != http.StatusNotFound {
+		t.Errorf("GET /api/prof/provenance with nothing attached: %d, want 404", code)
 	}
 
 	provPath := filepath.Join(t.TempDir(), "provenance.trace")
@@ -33,31 +30,12 @@ func TestProfEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	flushed := false
-	s.SetProfSources(
-		func() any { return map[string]any{"workers": 2, "est_speedup": 1.5} },
-		func(w io.Writer) error { _, err := io.WriteString(w, "[\n]\n"); return err },
-		provPath,
-		func() error {
-			flushed = true
-			return os.WriteFile(provPath, []byte("fresh-records"), 0o644)
-		},
-	)
+	s.SetProfSources(provPath, func() error {
+		flushed = true
+		return os.WriteFile(provPath, []byte("fresh-records"), 0o644)
+	})
 
-	var sum struct {
-		Workers    int     `json:"workers"`
-		EstSpeedup float64 `json:"est_speedup"`
-	}
-	getJSON(t, ts, "/api/prof", &sum)
-	if sum.Workers != 2 || sum.EstSpeedup != 1.5 {
-		t.Errorf("summary = %+v", sum)
-	}
-
-	code, body := get(t, ts, "/api/prof/chrome")
-	if code != http.StatusOK || body != "[\n]\n" {
-		t.Errorf("chrome download: %d %q", code, body)
-	}
-
-	code, body = get(t, ts, "/api/prof/provenance")
+	code, body := get(t, ts, "/api/prof/provenance")
 	if code != http.StatusOK {
 		t.Fatalf("provenance download: %d", code)
 	}

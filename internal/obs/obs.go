@@ -218,11 +218,15 @@ func (r *Registry) Collect() {
 }
 
 // casMax raises a to at least v, atomically. Used for the last-update
-// stamps of the explicit-time recording variants: in a simulation,
-// virtual time is monotonic over the serial event order, so "time of
-// the last write" equals "maximum write time" — and the maximum is
-// order-independent, which keeps the stamp deterministic when parallel
-// dataplane lanes record into a shared instrument concurrently.
+// stamps of the explicit-time recording variants, whose stamps can run
+// ahead of the registry clock: capture charges a batched writev at the
+// frame's completion time (hostsim.Writev(done, …)), so a later call
+// may carry an earlier stamp. Keeping the maximum makes the stamp the
+// latest observation time whatever the call order — the value the
+// .prom/.jsonl/.csv exports print. It is a compare-and-swap rather than
+// a plain store because instruments are safe for concurrent use:
+// livemon scrapes its runtime registry from HTTP goroutines while the
+// run updates it.
 func casMax(a *atomic.Int64, v int64) {
 	for {
 		old := a.Load()
@@ -253,10 +257,10 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Inc() { c.Add(1) }
 
 // AddAt increments by n stamping the observation at an explicit sim
-// time instead of reading the registry clock. Frame-path call sites
-// inside parallel dataplane lanes use this: the kernel clock is only
-// folded forward at window barriers, so the event's own timestamp is
-// the value a serial run would have stamped.
+// time instead of reading the registry clock. Dataplane call sites pass
+// the time the observation belongs to, which can be ahead of the kernel
+// clock (hostsim stamps a writev at the completion time capture hands
+// it); the stamp never moves backwards (see casMax).
 func (c *Counter) AddAt(n int64, at sim.Time) {
 	if c == nil || n < 0 {
 		return

@@ -73,9 +73,9 @@ func (t *Tracer) Start(name string, attrs ...Label) *Span {
 // samples) are retained, further ones are dropped instead of growing
 // without bound on long campaigns. Drops increment dropped (typically
 // the registry's patchwork_trace_dropped_total counter; nil is allowed)
-// and the Dropped tally. n <= 0 restores unbounded retention. Because
-// spans are only started from global events, the cap trips at the same
-// point in serial and laned runs — sim artifacts stay deterministic.
+// and the Dropped tally. n <= 0 restores unbounded retention. Spans are
+// started from kernel events, so the cap trips at the same point in
+// every same-seed run — sim artifacts stay deterministic.
 func (t *Tracer) SetSpanCap(n int, dropped *Counter) {
 	if t == nil {
 		return

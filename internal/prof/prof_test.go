@@ -262,8 +262,8 @@ func TestTagScheduler(t *testing.T) {
 		}
 	}
 
-	// tag 0 and non-tagging schedulers pass through unchanged.
+	// tag 0 passes the kernel through unchanged.
 	if TagScheduler(k, 0) != sim.Scheduler(k) {
-		t.Error("tag 0 should return the scheduler unchanged")
+		t.Error("tag 0 should return the kernel unchanged")
 	}
 }

@@ -85,8 +85,8 @@ func writeBlame(w io.Writer, entries []BlameEntry, top int) {
 // WriteChromeCriticalPath renders the critical path as a Chrome
 // trace-viewer array: one "X" slice per hop, placed at the parent's
 // timestamp with the hop's delta as duration, one row (tid) per tag.
-// Timestamps are sim-time microseconds — this is a sim-plane artifact
-// and is byte-identical across serial and laned runs.
+// Timestamps are sim-time microseconds, never wall time, so the output
+// is byte-identical across same-seed runs.
 func WriteChromeCriticalPath(w io.Writer, t *Trace) error {
 	path := t.CriticalPath()
 	var b strings.Builder

@@ -2,59 +2,51 @@ package prof
 
 import "repro/internal/sim"
 
-// tagSetter is the capability both the serial kernel and a lanes.Lane
-// expose for provenance domain tagging.
-type tagSetter interface {
-	SetProvTag(tag int32)
-}
-
-// TagScheduler wraps a scheduler so every schedule call made through it
-// is provenance-tagged with tag — the campaign layer wraps each site's
-// scheduler this way, attributing the site's events to it in the causal
-// DAG. The wrapper sets the tag around each delegated call and restores
-// the untagged state, so schedulers shared across components never leak
-// a tag. If s cannot tag (or tag is 0), s is returned unchanged.
-func TagScheduler(s sim.Scheduler, tag int32) sim.Scheduler {
-	ts, ok := s.(tagSetter)
-	if !ok || tag == 0 {
-		return s
+// TagScheduler wraps the kernel so every schedule call made through the
+// wrapper is provenance-tagged with tag — the campaign layer hands each
+// site's dataplane such a wrapper, attributing the site's events to it
+// in the causal DAG. The wrapper sets the tag around each delegated
+// call and restores the untagged state, so code scheduling on the bare
+// kernel never inherits a tag. With tag 0, k is returned unchanged.
+func TagScheduler(k *sim.Kernel, tag int32) sim.Scheduler {
+	if tag == 0 {
+		return k
 	}
-	return &taggedScheduler{s: s, ts: ts, tag: tag}
+	return &taggedScheduler{k: k, tag: tag}
 }
 
 type taggedScheduler struct {
-	s   sim.Scheduler
-	ts  tagSetter
+	k   *sim.Kernel
 	tag int32
 }
 
-func (t *taggedScheduler) Now() sim.Time { return t.s.Now() }
+func (t *taggedScheduler) Now() sim.Time { return t.k.Now() }
 
 func (t *taggedScheduler) At(at sim.Time, fn func()) sim.Handle {
-	t.ts.SetProvTag(t.tag)
-	h := t.s.At(at, fn)
-	t.ts.SetProvTag(0)
+	t.k.SetProvTag(t.tag)
+	h := t.k.At(at, fn)
+	t.k.SetProvTag(0)
 	return h
 }
 
 func (t *taggedScheduler) AtArg(at sim.Time, fn func(any), arg any) sim.Handle {
-	t.ts.SetProvTag(t.tag)
-	h := t.s.AtArg(at, fn, arg)
-	t.ts.SetProvTag(0)
+	t.k.SetProvTag(t.tag)
+	h := t.k.AtArg(at, fn, arg)
+	t.k.SetProvTag(0)
 	return h
 }
 
 func (t *taggedScheduler) After(d sim.Duration, fn func()) sim.Handle {
-	t.ts.SetProvTag(t.tag)
-	h := t.s.After(d, fn)
-	t.ts.SetProvTag(0)
+	t.k.SetProvTag(t.tag)
+	h := t.k.After(d, fn)
+	t.k.SetProvTag(0)
 	return h
 }
 
 func (t *taggedScheduler) AfterArg(d sim.Duration, fn func(any), arg any) sim.Handle {
-	t.ts.SetProvTag(t.tag)
-	h := t.s.AfterArg(d, fn, arg)
-	t.ts.SetProvTag(0)
+	t.k.SetProvTag(t.tag)
+	h := t.k.AfterArg(d, fn, arg)
+	t.k.SetProvTag(0)
 	return h
 }
 

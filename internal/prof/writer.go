@@ -1,14 +1,13 @@
-// Package prof is the sim plane of the profiling subsystem: it streams
-// the kernel's causal event DAG (sim.ProvRecord per schedule call) to a
-// CRC-framed on-disk trace and analyzes loaded traces — sim-time
-// critical path, per-site/per-callback blame attribution, and fan-out
-// statistics.
+// Package prof is the provenance profiler: it streams the kernel's
+// causal event DAG (sim.ProvRecord per schedule call) to a CRC-framed
+// on-disk trace and analyzes loaded traces — sim-time critical path,
+// per-site/per-callback blame attribution, and fan-out statistics.
 //
-// The trace is a sim-time artifact and therefore deterministic: a
-// same-seed run produces byte-identical traces serially and under
-// sharded lanes at any worker count. Callback code pointers are never
-// persisted — function names are interned into numbered definitions at
-// write time, so the bytes are stable across processes.
+// The trace is a sim-time artifact and therefore deterministic: two
+// same-seed runs produce byte-identical traces, however long each took
+// in wall time. Callback code pointers are never persisted — function
+// names are interned into numbered definitions at write time, so the
+// bytes are stable across processes.
 //
 // Framing reuses the internal/journal idiom: every line is
 // "%08x %s\n" — the IEEE CRC32 of the JSON body, a space, the body.

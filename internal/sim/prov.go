@@ -45,11 +45,6 @@ type ProvRecord struct {
 // subsequent schedule call; it must not schedule events itself.
 func (k *Kernel) SetProvenance(fn func(ProvRecord)) { k.prov = fn }
 
-// Provenance returns the installed provenance hook, or nil. A parallel
-// lane executor uses this to emit records for schedule calls it merges
-// at a window barrier (which bypass Kernel.schedule).
-func (k *Kernel) Provenance() func(ProvRecord) { return k.prov }
-
 // SetProvTag sets the provenance domain tag applied to subsequent
 // schedule calls. Wrappers (see prof.TagScheduler) set it around each
 // delegated call so events are attributed to the component that

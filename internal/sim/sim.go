@@ -49,13 +49,11 @@ func (t Time) String() string {
 // Seconds converts to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Scheduler is the scheduling surface shared by the serial Kernel and a
-// parallel lane executor (internal/lanes). Components hold a Scheduler
-// rather than a *Kernel so the same substrate code runs unchanged in a
-// serial world (Scheduler == the Kernel) and inside a dataplane lane
-// (Scheduler == a lanes.Lane that tags and stages events). During lane
-// execution, Now reports the executing event's timestamp — exactly what
-// Kernel.Now reports while an event runs serially.
+// Scheduler is the scheduling surface the dataplane components (switch,
+// capture engines, traffic driver) hold. It is the Kernel itself, or a
+// wrapper around it that tags every schedule call with a provenance
+// domain (prof.TagScheduler), so a campaign can attribute each site's
+// events to it in the causal DAG without touching the components.
 type Scheduler interface {
 	Now() Time
 	At(t Time, fn func()) Handle
@@ -64,11 +62,6 @@ type Scheduler interface {
 	AfterArg(d Duration, fn func(any), arg any) Handle
 	Every(d Duration, fn func(Time)) *Ticker
 }
-
-// GlobalLane is the lane tag of ordinary (non-laned) events. Global
-// events synchronize the whole world: a parallel executor runs them
-// serially, with every lane quiescent.
-const GlobalLane int32 = 0
 
 // Slot lifecycle states.
 const (
@@ -86,7 +79,6 @@ type eventSlot struct {
 	arg   any
 	gen   uint32 // bumped on release so stale Handles cannot touch a reused slot
 	state uint8
-	lane  int32 // GlobalLane, or the dataplane lane the event belongs to
 }
 
 // heapEntry is one priority-queue element. Keeping the comparison key
@@ -146,11 +138,10 @@ func (k *Kernel) Pending() int { return len(k.heap) }
 
 // QueueHighWatermark reports the maximum pending-event count observed,
 // sampled at the first event of each distinct timestamp — a proxy for
-// how bursty the schedule is and how much heap the kernel needs.
-// Tick-boundary sampling (rather than sampling on every push) makes the
-// watermark exactly reconstructible when a window of events runs on
-// parallel lanes (ApplyWindow), so serial and laned runs report the
-// same value.
+// how bursty the schedule is and how much heap the kernel needs. The
+// value is exported as sim_queue_high_watermark, so the sampling point
+// is part of the metrics artifacts: moving it (say, to every push)
+// would change every .prom/.jsonl/.csv dump.
 func (k *Kernel) QueueHighWatermark() int { return k.queueHighWater }
 
 // MaxEventsPerTick reports the largest number of events executed at a
@@ -237,8 +228,8 @@ func (k *Kernel) release(idx int32) {
 	k.free = append(k.free, idx)
 }
 
-// schedule is the shared core of At/AtArg/LaneAt/LaneAtArg.
-func (k *Kernel) schedule(lane int32, t Time, fn func(), argFn func(any), arg any) Handle {
+// schedule is the shared core of At/AtArg.
+func (k *Kernel) schedule(t Time, fn func(), argFn func(any), arg any) Handle {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
@@ -246,7 +237,6 @@ func (k *Kernel) schedule(lane int32, t Time, fn func(), argFn func(any), arg an
 	s := &k.slots[idx]
 	s.fn, s.argFn, s.arg = fn, argFn, arg
 	s.state = slotPending
-	s.lane = lane
 	k.heapPush(heapEntry{at: t, seq: k.seq, idx: idx})
 	if k.prov != nil {
 		k.prov(ProvRecord{Seq: k.seq, Parent: k.provParent, At: t, PC: CallbackPC(fn, argFn), Tag: k.provTag})
@@ -258,7 +248,7 @@ func (k *Kernel) schedule(lane int32, t Time, fn func(), argFn func(any), arg an
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // that is always a logic error in a discrete-event model.
 func (k *Kernel) At(t Time, fn func()) Handle {
-	return k.schedule(GlobalLane, t, fn, nil, nil)
+	return k.schedule(t, fn, nil, nil)
 }
 
 // AtArg schedules fn(arg) at absolute time t. It is the zero-allocation
@@ -267,20 +257,7 @@ func (k *Kernel) At(t Time, fn func()) Handle {
 // and needs no capturing closure. Pointer-shaped args (e.g. *T) do not
 // allocate when stored.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) Handle {
-	return k.schedule(GlobalLane, t, nil, fn, arg)
-}
-
-// LaneAt schedules fn at time t tagged with a dataplane lane. Events on
-// the same lane share state and run serially with respect to each
-// other; a parallel executor (internal/lanes) may run different lanes'
-// events concurrently within a conservative-lookahead window.
-func (k *Kernel) LaneAt(lane int32, t Time, fn func()) Handle {
-	return k.schedule(lane, t, fn, nil, nil)
-}
-
-// LaneAtArg is the zero-closure variant of LaneAt (see AtArg).
-func (k *Kernel) LaneAtArg(lane int32, t Time, fn func(any), arg any) Handle {
-	return k.schedule(lane, t, nil, fn, arg)
+	return k.schedule(t, nil, fn, arg)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -306,7 +283,9 @@ func (k *Kernel) Every(d Duration, fn func(Time)) *Ticker {
 }
 
 // NewTicker builds and starts a repeating event on any Scheduler — the
-// shared implementation behind Kernel.Every and a lane's Every.
+// shared implementation behind Kernel.Every and a tagging wrapper's
+// Every, where each firing's reschedule must go back through the
+// wrapper to keep its tag.
 func NewTicker(s Scheduler, d Duration, fn func(Time)) *Ticker {
 	if d <= 0 {
 		panic("sim: non-positive period")
@@ -431,206 +410,6 @@ func (k *Kernel) peek() (Time, bool) {
 		k.release(e.idx)
 	}
 	return 0, false
-}
-
-// --- Parallel lane windows ---
-//
-// The kernel stays single-threaded, but internal/lanes can pop a
-// conservative-lookahead window of lane-tagged events (PopLaneWindow),
-// execute each lane's subsequence on its own goroutine, and fold the
-// results back at a barrier (FlushLane + ApplyWindow). The contract that
-// keeps a laned run byte-identical to a serial one:
-//
-//   - PopLaneWindow pops the maximal prefix of the heap, in exact serial
-//     (time, seq) order, that contains only lane events below the
-//     lookahead horizon. The prefix property means every popped event
-//     would have run next in a serial kernel too.
-//   - Lane events may only touch their own lane's state and only
-//     schedule onto their own lane (or across lanes through a
-//     timestamped channel whose latency is at least the lookahead).
-//   - The executor reconstructs the serial order of every schedule call
-//     made inside the window and replays it through FlushLane with the
-//     exact sequence numbers a serial kernel would have assigned, then
-//     ApplyWindow restores the kernel's counters (clock, seq, event and
-//     per-tick counts, queue high-watermark) to the serial values.
-
-// NextLane reports the lane tag and timestamp of the next live event,
-// reaping cancelled heads like peek. ok is false when the queue is
-// empty.
-func (k *Kernel) NextLane() (lane int32, at Time, ok bool) {
-	for len(k.heap) > 0 {
-		e := k.heap[0]
-		s := &k.slots[e.idx]
-		if s.state != slotCancelled {
-			return s.lane, e.at, true
-		}
-		k.heapPop()
-		k.release(e.idx)
-	}
-	return 0, 0, false
-}
-
-// LaneEvent is one live event popped by PopLaneWindow, carrying its
-// serial ordering key so a lane executor can replay the kernel's exact
-// (time, seq) order within each lane.
-type LaneEvent struct {
-	At   Time
-	Seq  uint64
-	Lane int32
-
-	fn    func()
-	argFn func(any)
-	arg   any
-}
-
-// Call runs the event's callback.
-func (e *LaneEvent) Call() {
-	if e.argFn != nil {
-		e.argFn(e.arg)
-	} else {
-		e.fn()
-	}
-}
-
-// ReapMark records one cancelled entry reaped during window formation,
-// identified by its heap key. The executor uses the marks to
-// reconstruct, per tick, how many cancelled entries a serial kernel
-// would have reaped before sampling the queue length.
-type ReapMark struct {
-	At  Time
-	Seq uint64
-}
-
-// Window describes one conservative-lookahead batch of lane events.
-type Window struct {
-	// Start is the first popped event's timestamp; Horizon is the
-	// lookahead bound Start+lookahead. Popping stops at the horizon, at
-	// the first global event, or at MaxN events.
-	Start, Horizon Time
-	// ExecHorizon caps in-window execution: an event a lane schedules
-	// onto itself below this bound runs inside the window (it cannot be
-	// affected by anything outside the lane); at or beyond it, the event
-	// is staged and flushed to the kernel heap at the barrier. It is
-	// min(Horizon, timestamp of the next event left in the heap).
-	ExecHorizon Time
-	// L0 is the heap length at window formation, before any pops.
-	L0 int
-	// SeqBase is the kernel's sequence counter at window formation.
-	SeqBase uint64
-	// N is the number of live lane events popped.
-	N int
-}
-
-// PopLaneWindow pops the maximal serial-order prefix of live lane
-// events, stopping at the first global event, at the lookahead horizon
-// (first event's time + lookahead), or after maxN live events. Popped
-// events are appended to evOut and reaped cancellations to reapOut
-// (both may be reused buffers); the returned slices share their
-// backing arrays. The caller must only invoke this when NextLane
-// reports a non-global head.
-func (k *Kernel) PopLaneWindow(lookahead Duration, maxN int, evOut []LaneEvent, reapOut []ReapMark) (Window, []LaneEvent, []ReapMark) {
-	w := Window{L0: len(k.heap), SeqBase: k.seq}
-	started := false
-	for len(k.heap) > 0 && w.N < maxN {
-		e := k.heap[0]
-		s := &k.slots[e.idx]
-		if s.state == slotCancelled {
-			k.heapPop()
-			k.release(e.idx)
-			reapOut = append(reapOut, ReapMark{At: e.at, Seq: e.seq})
-			continue
-		}
-		if !started {
-			if s.lane == GlobalLane {
-				break
-			}
-			w.Start = e.at
-			w.Horizon = e.at + lookahead
-			started = true
-		} else if s.lane == GlobalLane || e.at >= w.Horizon {
-			break
-		}
-		k.heapPop()
-		evOut = append(evOut, LaneEvent{
-			At: e.at, Seq: e.seq, Lane: s.lane,
-			fn: s.fn, argFn: s.argFn, arg: s.arg,
-		})
-		k.release(e.idx)
-		w.N++
-	}
-	w.ExecHorizon = w.Horizon
-	if at, ok := k.peek(); ok && at < w.ExecHorizon {
-		w.ExecHorizon = at
-	}
-	return w, evOut, reapOut
-}
-
-// TickRun is one executed timestamp's merged summary inside a window.
-type TickRun struct {
-	At Time
-	// FirstSeq is the sequence number of the serially-first event
-	// executed at At (used to order reaped cancellations against it).
-	FirstSeq uint64
-	// Exec counts events executed at At across all lanes; Push counts
-	// schedule calls made while executing them.
-	Exec, Push uint64
-	// ReapBefore counts cancelled entries that a serial kernel would
-	// have reaped before At's first event (cumulative from window
-	// start).
-	ReapBefore int
-}
-
-// FlushLane schedules an event with an explicit, already-assigned
-// sequence number — the barrier-flush path for events staged on lanes
-// during a parallel window. The executor hands seq values in the exact
-// order a serial kernel would have assigned them and advances the
-// kernel's counter afterwards via ApplyWindow's seqNext.
-func (k *Kernel) FlushLane(lane int32, t Time, seq uint64, fn func(), argFn func(any), arg any) Handle {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: flushing at %v before now %v", t, k.now))
-	}
-	idx := k.alloc()
-	s := &k.slots[idx]
-	s.fn, s.argFn, s.arg = fn, argFn, arg
-	s.state = slotPending
-	s.lane = lane
-	k.heapPush(heapEntry{at: t, seq: seq, idx: idx})
-	return Handle{k: k, idx: idx, gen: s.gen}
-}
-
-// ApplyWindow folds a completed window back into the kernel: the clock
-// advances to the last executed tick, event and per-tick counters
-// accumulate, the queue high-watermark replays its tick-boundary
-// samples from the window's push/exec/reap trajectory, and the
-// sequence counter jumps to seqNext (SeqBase plus every schedule call
-// made inside the window). ticks must be merged across lanes and
-// sorted by timestamp.
-func (k *Kernel) ApplyWindow(w Window, ticks []TickRun, seqNext uint64) {
-	var pushed, execd uint64
-	for i := range ticks {
-		tr := &ticks[i]
-		if tr.At != k.lastTick {
-			// The serial kernel's tick-boundary sample: everything that
-			// was in the heap at window formation, plus pushes, minus
-			// executed events and reaped cancellations so far.
-			if p := w.L0 + int(pushed) - int(execd) - tr.ReapBefore; p > k.queueHighWater {
-				k.queueHighWater = p
-			}
-			k.lastTick = tr.At
-			k.tickEvents = 0
-		}
-		k.tickEvents += tr.Exec
-		if k.tickEvents > k.maxTickEvents {
-			k.maxTickEvents = k.tickEvents
-		}
-		k.nEvent += tr.Exec
-		k.now = tr.At
-		pushed += tr.Push
-		execd += tr.Exec
-	}
-	if seqNext > k.seq {
-		k.seq = seqNext
-	}
 }
 
 // --- 4-ary min-heap on (at, seq) ---

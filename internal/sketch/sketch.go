@@ -2,9 +2,9 @@
 // the streaming analysis pipeline: a HyperLogLog cardinality estimator
 // and a space-saving heavy-hitter summary. Both are deterministic —
 // identical insertion sequences produce identical state, and Merge is
-// well-defined — so streamed runs stay byte-reproducible across lane
-// counts and resumes, matching the rest of the repository's
-// serial-identical contract.
+// well-defined — so streamed runs stay byte-reproducible across reruns
+// and resumes, matching the rest of the repository's same-seed
+// contract.
 package sketch
 
 import (

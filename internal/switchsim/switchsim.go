@@ -214,8 +214,9 @@ func (s *Switch) SetObs(reg *obs.Registry) {
 	}
 }
 
-// New creates a switch bound to a scheduler — the simulation kernel in
-// a serial world, or a dataplane lane (internal/lanes) in a laned one.
+// New creates a switch bound to a scheduler — the simulation kernel, or
+// a wrapper around it that tags the switch's events with a provenance
+// domain (prof.TagScheduler).
 func New(name string, sched sim.Scheduler) *Switch {
 	s := &Switch{
 		Name:    name,
@@ -228,8 +229,9 @@ func New(name string, sched sim.Scheduler) *Switch {
 }
 
 // SetScheduler rebinds the switch to a different scheduler. Used when a
-// site is assigned to a dataplane lane after the federation is built;
-// must not be called while the simulation is running.
+// campaign wraps each site's scheduler with its provenance tag after
+// the federation is built; must not be called while the simulation is
+// running.
 func (s *Switch) SetScheduler(sched sim.Scheduler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -75,8 +75,8 @@ type Site struct {
 	Switch *switchsim.Switch
 
 	// sched is the scheduler the site's dataplane runs on: the shared
-	// kernel by default, or a per-site lane in sharded execution
-	// (internal/lanes).
+	// kernel by default, or a wrapper that tags the site's events with
+	// its provenance domain (prof.TagScheduler).
 	sched sim.Scheduler
 
 	// Free capacity (allocations subtract, releases add back).
@@ -170,8 +170,8 @@ func (f *Federation) SetObs(reg *obs.Registry) {
 func (s *Site) Scheduler() sim.Scheduler { return s.sched }
 
 // SetScheduler rebinds the site's dataplane — including its switch — to
-// a new scheduler (a per-site lane). Call before any dataplane traffic
-// is scheduled.
+// a new scheduler (the campaign's per-site provenance-tagging wrapper).
+// Call before any dataplane traffic is scheduled.
 func (s *Site) SetScheduler(sched sim.Scheduler) {
 	s.sched = sched
 	s.Switch.SetScheduler(sched)

@@ -8,9 +8,6 @@
 #   BENCH_kernel.json       internal/sim micro-benchmarks
 #   BENCH_experiments.json  paper-experiment benchmarks + RunAll wall
 #                           times (serial vs -parallel 8)
-#   BENCH_lanes.json        laned campaign speedup/efficiency: wall-clock
-#                           speedup over serial plus the lane profiler's
-#                           own estimate and parallel efficiency
 #   BENCH_analysis.json     streaming analysis pipeline: streamed vs
 #                           materialized digest (B/op, flows/sec) and
 #                           the GOMEMLIMIT-bounded peak heap of a
@@ -45,7 +42,6 @@ if [ "$smoke" -eq 1 ]; then
     count=1
     kernel_out="$tmp/BENCH_kernel.json"
     experiments_out="$tmp/BENCH_experiments.json"
-    lanes_out="$tmp/BENCH_lanes.json"
     analysis_out="$tmp/BENCH_analysis.json"
     storefault_out="$tmp/BENCH_storefault.json"
 else
@@ -53,7 +49,6 @@ else
     count=3
     kernel_out=BENCH_kernel.json
     experiments_out=BENCH_experiments.json
-    lanes_out=BENCH_lanes.json
     analysis_out=BENCH_analysis.json
     storefault_out=BENCH_storefault.json
 fi
@@ -64,71 +59,7 @@ echo "== kernel micro-benchmarks (internal/sim) =="
 go test -run '^$' -bench . -benchmem ${benchtime:+-benchtime $benchtime} \
     -count "$count" ./internal/sim | tee "$tmp/kernel.txt"
 
-# Laned campaign wall time: the same journaled campaign driven serially
-# and through sharded dataplane lanes. The speedup is hardware-dependent
-# (it needs real cores; on one core the window barrier is pure
-# overhead), so it is recorded, not gated — what IS gated, in -smoke
-# mode, is that lanes with one worker stay within noise of serial and
-# that both runs leave byte-identical metrics and WALs.
-echo "== laned campaign wall time: serial vs -lanes 4 =="
-go build -o "$tmp/patchwork" ./cmd/patchwork
-if [ "$smoke" -eq 1 ]; then
-    laned_runs=1
-else
-    laned_runs=3
-fi
-laned_wall_ms() {
-    start=$(date +%s%N)
-    "$tmp/patchwork" -federation-sites 4 -runs "$laned_runs" -samples 2 \
-        -sample-sec 2 -seed 9 -remedy -checkpoint-sec 10 \
-        -journal "$tmp/lw-$1-$2" -out "$tmp/lw-out-$1-$2" \
-        -metrics "$tmp/lw-$1-$2.prom" \
-        -lanes "$1" -lane-workers "$2" ${3:-} > /dev/null
-    end=$(date +%s%N)
-    echo $(( (end - start) / 1000000 ))
-}
-laned_serial_ms=$(laned_wall_ms 1 0)
-laned_w1_ms=$(laned_wall_ms 4 1)
-laned_w4_ms=$(laned_wall_ms 4 4 -profile)
-cmp "$tmp/lw-1-0.prom" "$tmp/lw-4-1.prom"
-cmp "$tmp/lw-1-0.prom" "$tmp/lw-4-4.prom"
-cmp "$tmp/lw-1-0/wal.jsonl" "$tmp/lw-4-1/wal.jsonl"
-cmp "$tmp/lw-1-0/wal.jsonl" "$tmp/lw-4-4/wal.jsonl"
-echo "laned campaign: serial ${laned_serial_ms} ms, lanes=4/w=1 ${laned_w1_ms} ms, lanes=4/w=4 ${laned_w4_ms} ms (artifacts byte-identical)"
-if [ "$smoke" -eq 1 ]; then
-    # Noise gate: one worker must not cost more than 2x serial (+25 ms
-    # floor so sub-50ms runs don't trip on scheduler jitter).
-    limit=$(( laned_serial_ms * 2 + 25 ))
-    if [ "$laned_w1_ms" -gt "$limit" ]; then
-        echo "laned(1 worker) took ${laned_w1_ms} ms, over noise limit ${limit} ms (serial ${laned_serial_ms} ms)" >&2
-        exit 1
-    fi
-fi
-
-"$tmp/benchjson" \
-    -add "LanedCampaignWallSerial:ms:$laned_serial_ms" \
-    -add "LanedCampaignWall1Worker:ms:$laned_w1_ms" \
-    -add "LanedCampaignWall4Workers:ms:$laned_w4_ms" \
-    < "$tmp/kernel.txt" > "$kernel_out"
-
-# Lane speedup/efficiency report: the measured wall-clock speedup over
-# serial, plus the lane profiler's own estimate and parallel efficiency
-# pulled from the -profile run's lane-summary.json. All of these are
-# hardware-dependent — recorded for the trajectory, never gated.
-summary="$tmp/lw-out-4-4/prof/lane-summary.json"
-json_field() {
-    awk -F'[:,]' -v k="\"$1\"" '$0 ~ k { gsub(/[[:space:]]/, "", $2); print $2; exit }' "$summary"
-}
-wall_speedup=$(awk -v s="$laned_serial_ms" -v p="$laned_w4_ms" \
-    'BEGIN { if (p > 0) printf "%.3f", s / p; else print 0 }')
-est_speedup=$(json_field est_speedup)
-efficiency=$(json_field parallel_efficiency)
-"$tmp/benchjson" \
-    -add "LanedWallSpeedup4Workers:x:${wall_speedup:-0}" \
-    -add "LanedEstSpeedup4Workers:x:${est_speedup:-0}" \
-    -add "LanedParallelEfficiency4Workers:frac:${efficiency:-0}" \
-    < /dev/null > "$lanes_out"
-echo "lane speedup: wall ${wall_speedup:-0}x, profiler estimate ${est_speedup:-0}x, efficiency ${efficiency:-0}"
+"$tmp/benchjson" < "$tmp/kernel.txt" > "$kernel_out"
 
 echo "== experiment benchmarks (repro root) =="
 # The figure/table benchmarks regenerate full paper artifacts per
@@ -189,8 +120,6 @@ if [ "$smoke" -eq 1 ]; then
     exit 0
 fi
 echo "wrote $analysis_out"
-
-echo "wrote $lanes_out"
 
 echo "wrote $storefault_out"
 

@@ -18,17 +18,14 @@
 # journaled campaign is killed at an injected crash point (exit 3),
 # resumed, and its metrics and WAL must be byte-identical to an
 # uninterrupted baseline of the same seed, and its pcaps (written
-# mid-run, so rewritten by the resume) must match too — repeated under
-# sharded dataplane lanes (-lanes), where the laned run, the killed-and-resumed
-# laned run, and the serial baseline must all byte-match (the short-mode
-# race run above also carries the laned randomized-topology stress
-# suite), and a live-telemetry gate: a
-# campaign served with -serve is probed over HTTP (pwlive validates the
-# exposition and JSON endpoints), shut down with SIGTERM, and its
-# artifacts must be byte-identical to the unserved baseline, and a
-# provenance gate: the same campaign run with -provenance serially and
-# under -lanes must write byte-identical causal traces, and pwprof must
-# produce a critical-path report from them.
+# mid-run, so rewritten by the resume) must match too, and a
+# live-telemetry gate: a campaign served with -serve is probed over HTTP
+# (pwlive validates the exposition and JSON endpoints), shut down with
+# SIGTERM, and its artifacts must be byte-identical to the unserved
+# baseline, and a provenance gate: two same-seed runs of the campaign
+# with -provenance must write byte-identical causal traces and leave the
+# other artifacts untouched, and pwprof must produce a critical-path
+# report from them.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -47,7 +44,6 @@ GOWORK=off go -C perfbench test ./...
 go test -run='^$' -fuzz='^FuzzParsePacket$' -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz='^FuzzTCPOptions$' -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz='^FuzzParsePolicy$' -fuzztime=5s ./internal/remedy
-go test -run='^$' -fuzz='^FuzzLanePartition$' -fuzztime=5s ./internal/lanes
 go test -run='^$' -fuzz='^FuzzSegmentCodec$' -fuzztime=5s ./internal/flowstore
 go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
@@ -99,29 +95,6 @@ cmp "$tmp/base/wal.jsonl" "$tmp/crash/wal.jsonl"
 same_pcaps "$tmp/base-out" "$tmp/crash-out"
 echo "crash/resume gate: metrics, WAL and pcaps byte-identical"
 
-# Laned crash/resume gate: the same campaign sharded across dataplane
-# lanes. The uninterrupted laned run must byte-match the serial
-# baseline; a laned run killed at the crash point and resumed (under a
-# different worker count) must byte-match both.
-"$tmp/patchwork" $common -journal "$tmp/lbase" -out "$tmp/lbase-out" \
-    -metrics "$tmp/lbase.prom" -no-kill -lanes 2 -lane-workers 2 >/dev/null
-cmp "$tmp/base.prom" "$tmp/lbase.prom"
-cmp "$tmp/base/wal.jsonl" "$tmp/lbase/wal.jsonl"
-same_pcaps "$tmp/base-out" "$tmp/lbase-out"
-rc=0
-"$tmp/patchwork" $common -journal "$tmp/lcrash" -out "$tmp/lcrash-out" \
-    -metrics "$tmp/lcrash.prom" -lanes 2 -lane-workers 2 >/dev/null || rc=$?
-if [ "$rc" -ne 3 ]; then
-    echo "laned crash run exited $rc, want 3" >&2
-    exit 1
-fi
-"$tmp/patchwork" -resume "$tmp/lcrash" -out "$tmp/lcrash-out" \
-    -metrics "$tmp/lcrash.prom" -lanes 2 -lane-workers 1 >/dev/null
-cmp "$tmp/base.prom" "$tmp/lcrash.prom"
-cmp "$tmp/base/wal.jsonl" "$tmp/lcrash/wal.jsonl"
-same_pcaps "$tmp/base-out" "$tmp/lcrash-out"
-echo "laned crash/resume gate: artifacts byte-identical to serial baseline"
-
 # Live-telemetry gate: the same campaign served on an ephemeral port.
 # -serve-hold keeps the server up after completion so the probe sees a
 # finished campaign; pwlive validates /metrics (Prometheus syntax +
@@ -144,27 +117,24 @@ go run ./cmd/pwhealth -check-prom "$tmp/serve.prom" >/dev/null
 echo "live-telemetry gate: probe passed, artifacts byte-identical with -serve"
 
 # Provenance gate: the causal event DAG recorded with -provenance is a
-# sim-time artifact, so a serial run and a sharded laned run of the same
-# seed must write byte-identical traces — and recording it (plus wall
-# profiling on the laned run) must not perturb any other artifact. A
-# pwprof smoke run then proves the trace loads and yields a critical
-# path and blame report.
+# sim-time artifact, so two runs of the same seed must write
+# byte-identical traces (and metrics and WALs) — and recording it must
+# not perturb any other artifact. A pwprof smoke run then proves the
+# trace loads and yields a critical path and blame report.
 "$tmp/patchwork" $common -journal "$tmp/pserial" -out "$tmp/pserial-out" \
     -metrics "$tmp/pserial.prom" -no-kill -provenance >/dev/null
-"$tmp/patchwork" $common -journal "$tmp/planed" -out "$tmp/planed-out" \
-    -metrics "$tmp/planed.prom" -no-kill -lanes 2 -lane-workers 2 \
-    -provenance -profile >/dev/null
-cmp "$tmp/pserial-out/prof/provenance.trace" "$tmp/planed-out/prof/provenance.trace"
+"$tmp/patchwork" $common -journal "$tmp/pagain" -out "$tmp/pagain-out" \
+    -metrics "$tmp/pagain.prom" -no-kill -provenance >/dev/null
+cmp "$tmp/pserial-out/prof/provenance.trace" "$tmp/pagain-out/prof/provenance.trace"
+cmp "$tmp/pserial.prom" "$tmp/pagain.prom"
+cmp "$tmp/pserial/wal.jsonl" "$tmp/pagain/wal.jsonl"
 cmp "$tmp/base.prom" "$tmp/pserial.prom"
-cmp "$tmp/base.prom" "$tmp/planed.prom"
 cmp "$tmp/base/wal.jsonl" "$tmp/pserial/wal.jsonl"
-test -s "$tmp/planed-out/prof/lane-trace.json"
-test -s "$tmp/planed-out/prof/lane-summary.json"
 go build -o "$tmp/pwprof" ./cmd/pwprof
 "$tmp/pwprof" -top 5 -chrome "$tmp/critical.json" \
     "$tmp/pserial-out/prof/provenance.trace" | grep -q "critical path:"
 test -s "$tmp/critical.json"
-echo "provenance gate: serial and laned traces byte-identical, pwprof report ok"
+echo "provenance gate: same-seed traces byte-identical, pwprof report ok"
 
 # Crash-point-matrix smoke: kill the campaign at a strided set of WAL
 # record and checkpoint-swap boundaries (every boundary runs in the
