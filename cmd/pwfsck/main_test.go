@@ -15,15 +15,15 @@ import (
 	"repro/internal/wire"
 )
 
-// frame encodes one CRC-framed line in the shared WAL/ring/trace format.
-func frame(body string) string {
+// framed encodes one CRC-framed line in the shared WAL/ring/trace format.
+func framed(body string) string {
 	return fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE([]byte(body)), body)
 }
 
 func walLines(n int) string {
 	var b strings.Builder
 	for i := 0; i < n; i++ {
-		b.WriteString(frame(fmt.Sprintf(`{"seq":%d,"sim_ns":%d,"kind":"setup","site":"S%d"}`, i, i*1000, i)))
+		b.WriteString(framed(fmt.Sprintf(`{"seq":%d,"sim_ns":%d,"kind":"setup","site":"S%d"}`, i, i*1000, i)))
 	}
 	return b.String()
 }
@@ -108,7 +108,7 @@ func buildCampaignDir(t *testing.T, doctor bool) string {
 	}
 	writeFile(t, filepath.Join(dir, "journal", "checkpoint.json"), cp)
 
-	seg := frame(`{"seq":0,"k":"metric"}`) + frame(`{"seq":1,"k":"metric"}`) + frame(`{"seq":2,"k":"log"}`)
+	seg := framed(`{"seq":0,"k":"metric"}`) + framed(`{"seq":1,"k":"metric"}`) + framed(`{"seq":2,"k":"log"}`)
 	if doctor {
 		// Mid-file corruption: flip a byte inside the middle frame's body.
 		b := []byte(seg)
@@ -117,7 +117,7 @@ func buildCampaignDir(t *testing.T, doctor bool) string {
 	}
 	writeFile(t, filepath.Join(dir, "livemon", "seg-00000000.jsonl"), seg)
 
-	trace := frame(`{"k":"h","format":"pw-prov"}`) + frame(`{"k":"e","s":1}`)
+	trace := framed(`{"k":"h","format":"pw-prov"}`) + framed(`{"k":"e","s":1}`)
 	writeFile(t, filepath.Join(dir, "prof", "provenance.trace"), trace)
 
 	alerts := `{"rule":"capture-drop-ratio","state":"firing"}` + "\n" + `{"rule":"capture-drop-ratio","state":"ok"}` + "\n"
@@ -262,7 +262,7 @@ func TestWALSeqGap(t *testing.T) {
 	dir := t.TempDir()
 	var b strings.Builder
 	for _, seq := range []int{0, 1, 3, 4} {
-		b.WriteString(frame(fmt.Sprintf(`{"seq":%d,"kind":"setup"}`, seq)))
+		b.WriteString(framed(fmt.Sprintf(`{"seq":%d,"kind":"setup"}`, seq)))
 	}
 	writeFile(t, filepath.Join(dir, "wal.jsonl"), b.String())
 	var out, errOut bytes.Buffer
@@ -279,7 +279,7 @@ func TestWALSeqGap(t *testing.T) {
 // rather than extend the file.
 func TestUnterminatedFinalFrame(t *testing.T) {
 	dir := t.TempDir()
-	content := walLines(3) + strings.TrimSuffix(frame(`{"seq":3,"kind":"setup"}`), "\n")
+	content := walLines(3) + strings.TrimSuffix(framed(`{"seq":3,"kind":"setup"}`), "\n")
 	writeFile(t, filepath.Join(dir, "wal.jsonl"), content)
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-repair", dir}, &out, &errOut); code != exitClean {

@@ -13,10 +13,10 @@
 //	           colsBlock  (crc32-framed: one byte array per column)
 //
 // Each block is framed [crc32 uint32][len uint32][body], the binary
-// sibling of the journal's "crc32-hex8 body" line framing, and a torn
-// final segment (the writer died mid-append) is detected by its CRC or
-// missing bytes and ignored on open — the same tolerance the campaign
-// journal applies to its WAL tail.
+// sibling of internal/frame's line framing, and a torn final segment
+// (the writer died mid-append) is detected by its CRC or missing bytes
+// and ignored on open — the torn-tail rule internal/frame applies to
+// the line formats.
 package flowstore
 
 import (

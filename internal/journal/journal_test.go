@@ -1,12 +1,15 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 )
 
@@ -223,5 +226,36 @@ func TestCorruptLineDropsSuffix(t *testing.T) {
 	}
 	if len(recs) != 1 {
 		t.Fatalf("got %d records, want 1 (everything after the corrupt line dropped)", len(recs))
+	}
+}
+
+// TestSeqGapFailsResume: CRC-valid records whose seq skips (0, 1, 3) are
+// not a torn tail but a reordered WAL. Resume must refuse it, and must
+// not truncate the file on the way.
+func TestSeqGapFailsResume(t *testing.T) {
+	dir := t.TempDir()
+	mustCreate(t, dir).Close()
+	var wal []byte
+	for _, seq := range []uint64{0, 1, 3} {
+		body, err := json.Marshal(Record{Seq: seq, Kind: KindSetup, Site: "STAR"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal = frame.Append(wal, body)
+	}
+	path := filepath.Join(dir, WALFile)
+	if err := os.WriteFile(path, wal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, _, err := OpenResume(dir)
+	if err == nil || !strings.Contains(err.Error(), "record 2 carries seq 3") {
+		t.Fatalf("OpenResume over a seq gap: err = %v, want record 2 carries seq 3", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wal) {
+		t.Fatalf("WAL changed by the failed resume: %d -> %d bytes", len(wal), len(got))
 	}
 }

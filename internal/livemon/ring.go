@@ -1,12 +1,10 @@
 package livemon
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +12,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/storefault"
 )
@@ -40,30 +39,31 @@ const (
 )
 
 // Ring is a bounded append-only record log: rotated segment files on
-// disk (CRC-framed lines, torn-tail tolerant like internal/journal)
-// mirrored by an in-memory copy that queries and SSE replay read from.
+// disk (lines framed by internal/frame) mirrored by an in-memory copy
+// that queries and SSE replay read from.
 // It is not internally synchronized — the owning Server serializes all
 // access under its own lock.
 //
 // On-disk layout under the ring directory:
 //
 //	seg-00000000.jsonl   oldest retained segment
-//	seg-00000007.jsonl   active segment, one "crc32c-hex8 json" per line
+//	seg-00000007.jsonl   active segment, one framed JSON record per line
 //
 // When the active segment exceeds the byte budget a new one starts; the
-// oldest is deleted once the segment count exceeds the cap. A torn
-// final line (the process died mid-write) fails its CRC and is
-// truncated away on open; everything before it is recovered.
+// oldest is deleted once the segment count exceeds the cap. A torn tail
+// on the newest segment (the process died mid-write) is truncated away
+// on open under internal/frame's torn-tail rule; everything before it
+// is recovered.
 type Ring struct {
 	dir      string // "" = memory-only (no files, same bounds)
 	fs       storefault.FS
 	segBytes int64
 	maxSegs  int
 
-	f       storefault.File
-	bw      *bufio.Writer
-	segIdx  int   // index of the active segment
-	segSize int64 // bytes written to the active segment
+	app     *frame.Appender
+	line    []byte // framed-line scratch
+	segIdx  int    // index of the active segment
+	segSize int64  // bytes written to the active segment
 
 	recs []memRec
 	next uint64
@@ -80,8 +80,7 @@ type Ring struct {
 
 type memRec struct {
 	Record
-	seg  int
-	size int64
+	seg int
 }
 
 const (
@@ -128,8 +127,8 @@ func (r *Ring) segPath(i int) string {
 	return filepath.Join(r.dir, fmt.Sprintf("seg-%08d.jsonl", i))
 }
 
-// load reads every retained segment, truncating a torn tail off the
-// newest one.
+// load reads every retained segment; openActive then truncates a torn
+// tail off the newest one.
 func (r *Ring) load() error {
 	entries, err := r.fs.ReadDir(r.dir)
 	if err != nil {
@@ -148,95 +147,49 @@ func (r *Ring) load() error {
 		idxs = append(idxs, n)
 	}
 	sort.Ints(idxs)
-	for pos, idx := range idxs {
-		last := pos == len(idxs)-1
-		keep, err := r.loadSegment(idx, last)
+	for _, idx := range idxs {
+		keep, err := r.loadSegment(idx)
 		if err != nil {
 			return err
 		}
-		if last {
-			r.segIdx, r.segSize = idx, keep
-		}
-	}
-	if len(idxs) == 0 {
-		r.segIdx = 0
+		r.segIdx, r.segSize = idx, keep
 	}
 	r.recovered = len(r.recs)
 	return nil
 }
 
-// loadSegment parses one segment; when truncate is set, a torn tail is
-// cut off the file. Returns the committed byte length. A final line
-// missing its newline is torn by definition — even if its CRC happens
-// to validate — so it is dropped rather than counted, which keeps
-// recovery idempotent (truncating never extends the file).
-func (r *Ring) loadSegment(idx int, truncate bool) (int64, error) {
-	path := r.segPath(idx)
-	data, err := r.fs.ReadFile(path)
+// loadSegment parses one segment and returns its committed byte length.
+func (r *Ring) loadSegment(idx int) (int64, error) {
+	data, err := r.fs.ReadFile(r.segPath(idx))
 	if err != nil {
 		return 0, fmt.Errorf("livemon: ring: %w", err)
 	}
-	var keep int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated final line: torn write
+	s, _ := frame.ScanFrames(bytes.NewReader(data), func(body []byte) bool { // a bytes.Reader cannot fail
+		var rec Record
+		if json.Unmarshal(body, &rec) != nil {
+			return false
 		}
-		rec, ok := parseFrame(string(data[off : off+nl]))
-		if !ok {
-			break // torn or corrupt: drop this line and everything after
-		}
-		size := int64(nl) + 1
-		r.recs = append(r.recs, memRec{Record: rec, seg: idx, size: size})
-		keep += size
-		off += nl + 1
+		r.recs = append(r.recs, memRec{Record: rec, seg: idx})
 		if rec.Seq >= r.next {
 			r.next = rec.Seq + 1
 		}
 		if rec.SimNs > r.recoveredSimNs {
 			r.recoveredSimNs = rec.SimNs
 		}
-	}
-	if truncate && keep < int64(len(data)) {
-		if err := r.fs.Truncate(path, keep); err != nil {
-			return 0, fmt.Errorf("livemon: ring: truncating torn tail: %w", err)
-		}
-	}
-	return keep, nil
+		return true
+	})
+	return s.Good, nil
 }
 
-// openActive opens the newest segment for appending.
+// openActive opens the active segment for appending at its committed
+// length, cutting off any torn tail.
 func (r *Ring) openActive() error {
-	f, err := r.fs.OpenFile(r.segPath(r.segIdx), os.O_CREATE|os.O_WRONLY, 0o644)
+	app, err := frame.OpenAppender(r.fs, r.segPath(r.segIdx), os.O_CREATE, r.segSize)
 	if err != nil {
 		return fmt.Errorf("livemon: ring: %w", err)
 	}
-	if _, err := f.Seek(r.segSize, 0); err != nil {
-		f.Close()
-		return fmt.Errorf("livemon: ring: %w", err)
-	}
-	r.f, r.bw = f, bufio.NewWriter(f)
+	r.app = app
 	return nil
-}
-
-// parseFrame validates one "crc8hex json" line.
-func parseFrame(line string) (Record, bool) {
-	frame, rest, found := strings.Cut(line, " ")
-	if !found || len(frame) != 8 {
-		return Record{}, false
-	}
-	want, err := strconv.ParseUint(frame, 16, 32)
-	if err != nil {
-		return Record{}, false
-	}
-	if crc32.ChecksumIEEE([]byte(rest)) != uint32(want) {
-		return Record{}, false
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(rest), &rec); err != nil {
-		return Record{}, false
-	}
-	return rec, true
 }
 
 // Append stores one record and returns its sequence number. stored is
@@ -254,56 +207,30 @@ func (r *Ring) Append(kind string, at sim.Time, data []byte) (seq uint64, stored
 		r.fail(err)
 		return 0, false
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(encoded), encoded)
-	size := int64(len(line))
-	r.appendLine(line)
-	r.recs = append(r.recs, memRec{Record: rec, seg: r.segIdx, size: size})
+	r.line = frame.Append(r.line[:0], encoded)
+	if r.app != nil {
+		if err := r.app.Write(r.line, r.pruneOnENOSPC); err != nil {
+			r.fail(err)
+		}
+	}
+	r.recs = append(r.recs, memRec{Record: rec, seg: r.segIdx})
 	r.next++
-	r.segSize += size
+	r.segSize += int64(len(r.line))
 	if r.segSize >= r.segBytes {
 		r.rotate()
 	}
 	return rec.Seq, true
 }
 
-// appendLine writes one framed line to the active segment. A full
-// volume (ENOSPC) triggers the degradation path: retained history is
-// pruned aggressively to free space and the write retried once from the
-// committed offset; only a second failure (or any other error) latches.
-func (r *Ring) appendLine(line string) {
-	if r.bw == nil {
-		return
-	}
-	err := r.writeFlush(line)
-	if err == nil {
-		return
-	}
+// pruneOnENOSPC is the ring's graceful degradation: a full volume
+// (ENOSPC) prunes retained history aggressively to free space and asks
+// for the append to be retried once; any other error latches.
+func (r *Ring) pruneOnENOSPC(err error) bool {
 	if !errors.Is(err, syscall.ENOSPC) {
-		r.fail(err)
-		return
+		return false
 	}
 	r.PruneAggressive()
-	// The failed flush may have persisted a prefix; rewind to the
-	// committed length so the retry cannot leave interleaved garbage.
-	if terr := r.f.Truncate(r.segSize); terr != nil {
-		r.fail(err)
-		return
-	}
-	if _, serr := r.f.Seek(r.segSize, 0); serr != nil {
-		r.fail(err)
-		return
-	}
-	r.bw = bufio.NewWriter(r.f)
-	if err2 := r.writeFlush(line); err2 != nil {
-		r.fail(err2)
-	}
-}
-
-func (r *Ring) writeFlush(line string) error {
-	if _, err := r.bw.WriteString(line); err != nil {
-		return err
-	}
-	return r.bw.Flush()
+	return true
 }
 
 // PruneAggressive drops every retained segment except the active one
@@ -336,14 +263,11 @@ func (r *Ring) Pruned() int { return r.pruned }
 // rotate starts a new segment and prunes the oldest past the cap. In
 // memory-only mode the same bounds apply without files.
 func (r *Ring) rotate() {
-	if r.f != nil {
-		if err := r.bw.Flush(); err != nil {
+	if r.app != nil {
+		if err := r.app.Close(); err != nil {
 			r.fail(err)
 		}
-		if err := r.f.Close(); err != nil {
-			r.fail(err)
-		}
-		r.f, r.bw = nil, nil
+		r.app = nil
 	}
 	r.segIdx++
 	r.segSize = 0
@@ -416,19 +340,15 @@ func (r *Ring) EventsSince(lastID uint64) []Record {
 	return out
 }
 
-// Close flushes and closes the active segment.
+// Close closes the active segment.
 func (r *Ring) Close() error {
-	if r.f == nil {
+	if r.app == nil {
 		return r.err
 	}
-	ferr := r.bw.Flush()
-	cerr := r.f.Close()
-	r.f, r.bw = nil, nil
+	cerr := r.app.Close()
+	r.app = nil
 	if r.err != nil {
 		return r.err
-	}
-	if ferr != nil {
-		return ferr
 	}
 	return cerr
 }

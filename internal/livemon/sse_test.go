@@ -27,7 +27,7 @@ func newTestServer(t *testing.T) *Server {
 	return s
 }
 
-type frame struct {
+type sseFrame struct {
 	id    string
 	event string
 	data  string
@@ -35,10 +35,10 @@ type frame struct {
 
 // readFrames parses n SSE frames off the stream, ignoring keepalive
 // comments.
-func readFrames(t *testing.T, r *bufio.Reader, n int) []frame {
+func readFrames(t *testing.T, r *bufio.Reader, n int) []sseFrame {
 	t.Helper()
-	var out []frame
-	var cur frame
+	var out []sseFrame
+	var cur sseFrame
 	for len(out) < n {
 		line, err := r.ReadString('\n')
 		if err != nil {
@@ -54,7 +54,7 @@ func readFrames(t *testing.T, r *bufio.Reader, n int) []frame {
 			cur.data = strings.TrimPrefix(line, "data: ")
 		case line == "" && cur.event != "":
 			out = append(out, cur)
-			cur = frame{}
+			cur = sseFrame{}
 		}
 	}
 	return out
@@ -99,7 +99,7 @@ func TestSSEReplayFraming(t *testing.T) {
 	frames := readFrames(t, r, 3)
 	done()
 	for i, f := range frames {
-		want := frame{id: fmt.Sprint(i + 1), event: KindAlert, data: fmt.Sprintf(`{"n":%d}`, i+1)}
+		want := sseFrame{id: fmt.Sprint(i + 1), event: KindAlert, data: fmt.Sprintf(`{"n":%d}`, i+1)}
 		if f != want {
 			t.Fatalf("frame %d = %+v, want %+v", i, f, want)
 		}

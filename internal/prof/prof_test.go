@@ -3,11 +3,13 @@ package prof
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 )
 
@@ -110,6 +112,55 @@ func TestTornTail(t *testing.T) {
 	}
 	if len(tr.Events) != 5 {
 		t.Errorf("intact prefix lost: %d events, want 5", len(tr.Events))
+	}
+}
+
+// TestUnterminatedFinalFrameTorn: a trace cut just before its final
+// newline has a torn last frame, even though the frame's CRC validates.
+// The loader drops it and agrees with the scrubber's intact-frame count.
+func TestUnterminatedFinalFrameTorn(t *testing.T) {
+	path := writeSampleTrace(t)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Torn {
+		t.Error("unterminated final frame not reported as torn")
+	}
+	if len(tr.Events) != 4 {
+		t.Errorf("loaded %d events, want 4 (final frame dropped)", len(tr.Events))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := frame.ScanFrames(f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := 1 + len(tr.TagNames) + len(tr.FnNames) + len(tr.Events) // header + defs + events
+	if s.Frames != loaded {
+		t.Errorf("loader kept %d frames, scrubber reports %d intact", loaded, s.Frames)
+	}
+}
+
+// TestRecordAllocFree: the provenance hook runs on every schedule call,
+// so recording an event for an already-interned callback must not
+// allocate.
+func TestRecordAllocFree(t *testing.T) {
+	w := NewWriter(io.Discard)
+	r := sim.ProvRecord{Seq: 1, Parent: sim.NoProvParent, At: 10, PC: sim.CallbackPC(fnAlpha, nil), Tag: 1}
+	w.Record(r) // interns the callback and sizes the scratch buffers
+	if n := testing.AllocsPerRun(1000, func() { r.Seq++; w.Record(r) }); n != 0 {
+		t.Fatalf("Record: %v allocs, want 0", n)
 	}
 }
 

@@ -1,14 +1,12 @@
 package prof
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
-	"strconv"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 )
 
@@ -47,22 +45,6 @@ type lineRec struct {
 	G      int32  `json:"g"`
 }
 
-// parseFrame validates one CRC-framed line and unmarshals its body.
-func parseFrame(line []byte, rec *lineRec) bool {
-	if len(line) < 10 || line[8] != ' ' {
-		return false
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return false
-	}
-	body := line[9:]
-	if crc32.ChecksumIEEE(body) != uint32(want) {
-		return false
-	}
-	return json.Unmarshal(body, rec) == nil
-}
-
 // LoadTrace reads a provenance trace, tolerating a torn tail.
 func LoadTrace(path string) (*Trace, error) {
 	f, err := os.Open(path)
@@ -72,27 +54,21 @@ func LoadTrace(path string) (*Trace, error) {
 	defer f.Close()
 
 	t := &Trace{TagNames: make(map[int32]string), bySeq: make(map[uint64]int)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	var hdrErr error
 	first := true
-	for sc.Scan() {
+	s, err := frame.ScanFrames(f, func(body []byte) bool {
 		var rec lineRec
-		if !parseFrame(sc.Bytes(), &rec) {
-			if first {
-				return nil, fmt.Errorf("prof: %s: not a provenance trace", path)
-			}
-			t.Torn = true
-			break
+		if json.Unmarshal(body, &rec) != nil {
+			return false
 		}
 		if first {
-			if rec.K != "hdr" || rec.Format != TraceFormat {
-				return nil, fmt.Errorf("prof: %s: not a provenance trace (header %q)", path, rec.Format)
-			}
-			if rec.V != TraceVersion {
-				return nil, fmt.Errorf("prof: %s: unsupported trace version %d", path, rec.V)
-			}
 			first = false
-			continue
+			if rec.K != "hdr" || rec.Format != TraceFormat {
+				hdrErr = fmt.Errorf("prof: %s: not a provenance trace (header %q)", path, rec.Format)
+			} else if rec.V != TraceVersion {
+				hdrErr = fmt.Errorf("prof: %s: unsupported trace version %d", path, rec.V)
+			}
+			return hdrErr == nil
 		}
 		switch rec.K {
 		case "fn":
@@ -109,13 +85,19 @@ func LoadTrace(path string) (*Trace, error) {
 				Fn: rec.F, Tag: rec.G,
 			})
 		}
-	}
-	if first {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("prof: %w", err)
-		}
+		return true
+	})
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("prof: %w", err)
+	case hdrErr != nil:
+		return nil, hdrErr
+	case s.Size == 0:
 		return nil, fmt.Errorf("prof: %s: empty trace", path)
+	case s.Frames == 0:
+		return nil, fmt.Errorf("prof: %s: not a provenance trace", path)
 	}
+	t.Torn = s.Damaged()
 	return t, nil
 }
 

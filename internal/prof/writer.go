@@ -9,22 +9,21 @@
 // names are interned into numbered definitions at write time, so the
 // bytes are stable across processes.
 //
-// Framing reuses the internal/journal idiom: every line is
-// "%08x %s\n" — the IEEE CRC32 of the JSON body, a space, the body.
-// Readers stop at the first damaged line (torn tail after a crash).
+// Every record is one JSON line framed by internal/frame; loading stops
+// at the first damaged line (torn tail after a crash).
 package prof
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/storefault"
 )
@@ -88,15 +87,7 @@ func (w *Writer) emit(body []byte) {
 	if w.err != nil {
 		return
 	}
-	crc := crc32.ChecksumIEEE(body)
-	const hexdigits = "0123456789abcdef"
-	w.line = w.line[:0]
-	for shift := 28; shift >= 0; shift -= 4 {
-		w.line = append(w.line, hexdigits[(crc>>uint(shift))&0xf])
-	}
-	w.line = append(w.line, ' ')
-	w.line = append(w.line, body...)
-	w.line = append(w.line, '\n')
+	w.line = frame.Append(w.line[:0], body)
 	if _, err := w.bw.Write(w.line); err != nil {
 		w.err = err
 	}

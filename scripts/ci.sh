@@ -9,7 +9,8 @@
 # fuzz smoke over the wire-format parsers (seed corpus plus a few
 # seconds of mutation —
 # enough to catch regressions in the option/length walkers — plus the
-# flow-store segment codec and the sketch merge operators), a
+# flow-store segment codec, the sketch merge operators, the livemon
+# ring recovery and the shared frame scanner), a
 # streaming-analytics equivalence gate (the single-pass digester and
 # the materialized in-memory pipeline must agree byte-for-byte on every
 # CSV and figure artifact, spilling included), and a
@@ -47,6 +48,7 @@ go test -run='^$' -fuzz='^FuzzParsePolicy$' -fuzztime=5s ./internal/remedy
 go test -run='^$' -fuzz='^FuzzSegmentCodec$' -fuzztime=5s ./internal/flowstore
 go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
+go test -run='^$' -fuzz='^FuzzFrameScan$' -fuzztime=5s ./internal/frame
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora (internal/analysis), and the
